@@ -43,6 +43,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from ..functions.broadcast import cached, ref_id
 from ..functions.hashing import stable_hash64
 from ..functions.matcher import PhraseMatcher
 from ..functions.text import (
@@ -175,28 +176,18 @@ def _pattern_rows(t: pa.Table) -> pa.Table:
     )
 
 
-# worker-process cache for the broadcast lookup: map_groups calls the
-# fn once per entity group, and ray.get-ing (deserializing) the whole
-# dict per group dominates runtime for small groups
-_LOOKUP_CACHE: Dict = {}
-
-
-def _get_broadcast(ref):
-    key = ref.hex() if hasattr(ref, "hex") else id(ref)
-    if key not in _LOOKUP_CACHE:
-        if len(_LOOKUP_CACHE) > 4:
-            _LOOKUP_CACHE.clear()
-        _LOOKUP_CACHE[key] = ray.get(ref)
-    return _LOOKUP_CACHE[key]
-
-
 def _make_group_fn(
     lookup_ref,
     crop_sentences: bool,
     limit_contexts: Optional[int],
 ):
     def per_entity(group: pd.DataFrame) -> pd.DataFrame:
-        lookup = _get_broadcast(lookup_ref)
+        # cached per worker process: map_groups calls this once per
+        # entity group, and deserializing the whole dict per group
+        # dominates runtime for small groups
+        lookup = cached(
+            ("contexts-lookup", ref_id(lookup_ref)), lambda: ray.get(lookup_ref)
+        )
         eid_info: Dict[str, tuple] = lookup["eid_info"]
         allowed = lookup["allowed"]
 

@@ -26,22 +26,20 @@ def build_matches(
     docs: ray.data.Dataset,
     entities: pa.Table,
     *,
-    concurrency: int | tuple = 2,
     batch_size: int = 64,
     tokenizer: str = "spec",
 ) -> ray.data.Dataset:
     """docs -> combined rows (lazy).  Entity indexes are broadcast via
-    ``ray.put`` once and read per actor in ``PageProcessor.__init__``.
-    ``tokenizer='spacy'`` plugs a real spaCy pipeline into the actors
-    (conformance comparison; requires the package)."""
+    ``ray.put`` once; ``PageProcessor`` runs as tasks that load them
+    once per worker process, so no actor pool starts per call and the
+    stage fuses with the read feeding it.  ``tokenizer='spacy'`` plugs
+    a real spaCy pipeline into the workers (conformance comparison;
+    requires the package)."""
     ref = ray.put(entities_index(entities))
     return docs.map_batches(
-        PageProcessor,
-        fn_constructor_args=(ref, tokenizer),
+        PageProcessor(ref, tokenizer),
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=1,
     )
 
 

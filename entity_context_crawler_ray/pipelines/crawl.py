@@ -61,6 +61,7 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
+from ..functions.broadcast import cached, ref_id
 from ..functions.hashing import stable_hash64, stable_hash64_array
 from ..sources.doc_store import DocStoreReader, PlasmaDocStoreReader, preload_doc_store
 from ..sources.docs import host_of
@@ -146,25 +147,16 @@ class CrawlConfig:
         return self.num_politeness_shards * per_shard
 
 
-# Worker-process-global cache: the crawl loop launches a fresh Dataset
-# execution per round, so per-execution actor pools would cold-start
-# every round.  Fetch/probe/mark stages are therefore stateless TASKS
-# whose heavy state (doc-store partition cache, entity indexes) lives
-# in this per-worker-process cache — loaded once per worker, shared
+# The crawl loop launches a fresh Dataset execution per round, so
+# per-execution actor pools would cold-start every round.
+# Fetch/probe/mark stages are therefore stateless TASKS whose heavy
+# state (doc-store partition cache, entity indexes) lives in the
+# per-worker-process broadcast cache — loaded once per worker, shared
 # across rounds (the long-lived-pool equivalent for a round-driven
 # driver loop; at cluster scale the same cache amortizes across the
 # whole crawl because Ray reuses worker processes).
-_WORKER_CACHE: Dict = {}
-
-
 def _fetch_state(store_dir: str, num_partitions: int, entities_ref, store_refs=None):
-    # key includes the broadcast identities: the same store crawled
-    # with different entity catalogs must not reuse a stale index
-    ref_key = entities_ref.hex() if hasattr(entities_ref, "hex") else id(entities_ref)
-    sref_key = store_refs.hex() if hasattr(store_refs, "hex") else id(store_refs)
-    key = ("fetch", store_dir, ref_key, sref_key)
-    st = _WORKER_CACHE.get(key)
-    if st is None:
+    def load():
         idx = (
             ray.get(entities_ref)
             if isinstance(entities_ref, ray.ObjectRef)
@@ -174,15 +166,17 @@ def _fetch_state(store_dir: str, num_partitions: int, entities_ref, store_refs=N
             reader = PlasmaDocStoreReader(ray.get(store_refs), num_partitions)
         else:
             reader = DocStoreReader(store_dir, num_partitions)
-        st = (reader, idx["title_to_eid"], idx["eid_to_label"])
-        _WORKER_CACHE[key] = st
-    return st
+        return reader, idx["title_to_eid"], idx["eid_to_label"]
+
+    # key includes the broadcast identities: the same store crawled
+    # with different entity catalogs must not reuse a stale index
+    return cached(("fetch", store_dir, ref_id(entities_ref), ref_id(store_refs)), load)
 
 
 class FetchExtract:
     """Fetch stage body: admitted frontier rows -> combined page rows
     (+ out_links for the frontier).  Constructed per task, but all
-    state comes from the worker-global cache (see _WORKER_CACHE)."""
+    state comes from the worker-process cache (see _fetch_state)."""
 
     def __init__(self, store_dir: str, num_partitions: int, entities_ref, store_refs=None):
         self.reader, self.title_to_eid, self.eid_to_label = _fetch_state(

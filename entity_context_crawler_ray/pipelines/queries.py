@@ -4055,6 +4055,12 @@ def _weighted_sample_input(sf_dir: str):
     return li.map_batches(wt, batch_format="pyarrow")
 
 
+# md5_maxw hashes indices i < weight; the SQL twins enumerate
+# range(WSAMP_MAX_WEIGHT), so a heavier item must raise on the Ray side
+# instead of silently ranking differently in the two engines
+WSAMP_MAX_WEIGHT = 64
+
+
 def q_weighted_sample(sf_dir: str):
     """EXACT deterministic weighted sampling without replacement
     (top-20 lineitems, selection probability ∝ l_quantity) via
@@ -4074,6 +4080,7 @@ def q_weighted_sample(sf_dir: str):
         k=20,
         mode="md5_maxw",
         salt="wsamp",
+        max_weight=WSAMP_MAX_WEIGHT,
     )
 
 
@@ -4094,7 +4101,7 @@ def q_weighted_sample_fast(sf_dir: str):
     )
 
 
-SQL_WEIGHTED_SAMPLE = """
+SQL_WEIGHTED_SAMPLE = f"""
 WITH w AS (
   SELECT l_orderkey, l_linenumber,
          GREATEST(CAST(l_quantity AS BIGINT), 1) AS wt
@@ -4106,7 +4113,7 @@ h AS (
                || CAST(l_orderkey AS VARCHAR) || '-'
                || CAST(l_linenumber AS VARCHAR) || '-'
                || CAST(i.i AS VARCHAR)), 1, 16)) AS UBIGINT)) AS pri
-  FROM w, (SELECT unnest(range(64)) AS i) i
+  FROM w, (SELECT unnest(range({WSAMP_MAX_WEIGHT})) AS i) i
   WHERE i.i < w.wt
   GROUP BY 1, 2
 )
@@ -4531,8 +4538,13 @@ def q_incremental_dedup(sf_dir: str):
         from entity_context_crawler_ray.functions.hashing import md5_u64
 
         texts = t["text"].to_pylist()
+        try:
+            msgs = np.asarray(texts, dtype="S")
+        except UnicodeEncodeError:
+            # md5 over the UTF-8 bytes, as DuckDB's md5() hashes them
+            msgs = np.array([x.encode("utf-8") for x in texts], dtype="S")
         h = (
-            md5_u64(np.asarray(texts, dtype="S")).view(np.int64)
+            md5_u64(msgs).view(np.int64)
             if texts
             else np.array([], dtype=np.int64)
         )
@@ -4832,10 +4844,11 @@ def q_weighted_sample_grouped(sf_dir: str):
         k=5,
         mode="md5_maxw",
         salt="wsg",
+        max_weight=WSAMP_MAX_WEIGHT,
     )
 
 
-SQL_WEIGHTED_SAMPLE_GROUPED = """
+SQL_WEIGHTED_SAMPLE_GROUPED = f"""
 WITH w AS (
   SELECT event_type, CAST(event_id AS BIGINT) AS event_id,
          GREATEST(CAST(round(value * 100) AS BIGINT) // 1000 + 1, 1) AS wt
@@ -4846,7 +4859,7 @@ h AS (
          max(CAST(('0x' || substr(md5('wsg'
                || CAST(event_id AS VARCHAR) || '-'
                || CAST(i.i AS VARCHAR)), 1, 16)) AS UBIGINT)) AS pri
-  FROM w, (SELECT unnest(range(64)) AS i) i
+  FROM w, (SELECT unnest(range({WSAMP_MAX_WEIGHT})) AS i) i
   WHERE i.i < w.wt
   GROUP BY 1, 2
 ),

@@ -1,12 +1,13 @@
 """Stage 1 — docs -> pages + matches + mentions.
 
 Ray-Data-native rebuild of the reference's ``_process_page`` worker
-(reference cmd/build_matches_db.py:237-320) as an actor-pool
-``map_batches`` stage: the entity indexes are built ONCE per actor in
-``__init__`` from a ``ray.put`` broadcast (the reference replicates
-them per pool worker via the Pool initializer,
-cmd/build_matches_db.py:215-222), and each ``__call__`` processes a
-batch of docs.
+(reference cmd/build_matches_db.py:237-320) as a task
+``map_batches`` stage: the entity indexes are broadcast once with
+``ray.put`` and loaded ONCE per worker process on first use (the
+reference replicates them per pool worker via the Pool initializer,
+cmd/build_matches_db.py:215-222), and each call processes a batch of
+docs.  Running as tasks, the stage fuses with the read that feeds it
+and reserves no CPUs of its own.
 
 Output is ONE combined row per doc carrying the page, its stats and
 the nested matches/mentions lists — pages and their matches are
@@ -33,6 +34,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
+from ..functions.broadcast import cached, ref_id
 from ..functions.matcher import PhraseMatcher
 from ..functions.text import clean_up_text, token_texts, tokenize, tokenize_arrays
 
@@ -384,32 +386,44 @@ def process_doc(
 
 
 class PageProcessor:
-    """Actor-pool callable: docs batch -> combined rows batch.
+    """Task callable: docs batch -> combined rows batch.
 
     ``entities_ref`` is a ``ray.put`` handle of the dict returned by
-    ``sources.docs.entities_index`` (broadcast once, read per actor —
-    never re-shipped per batch)."""
+    ``sources.docs.entities_index``.  The instance holds only that
+    handle and the tokenizer name, so ``map_batches`` runs it as plain
+    tasks; the index (and the spaCy pipeline) is loaded on the first
+    call in each worker process and reused by every later batch and
+    call with the same broadcast (``functions.broadcast``).  A plain
+    index dict also works, for in-process calls."""
 
     def __init__(self, entities_ref, tokenizer: str = "spec"):
-        idx = ray.get(entities_ref) if isinstance(entities_ref, ray.ObjectRef) else entities_ref
-        self.title_to_eid: Dict[str, str] = idx["title_to_eid"]
-        self.eid_to_label: Dict[str, str] = idx["eid_to_label"]
+        if tokenizer not in ("spec", "spacy"):
+            raise ValueError(f"unknown tokenizer {tokenizer!r}")
+        self.entities_ref = entities_ref
+        self.tokenizer = tokenizer
+        self._state = None if isinstance(entities_ref, ray.ObjectRef) else self._load()
+
+    def _load(self):
+        ref = self.entities_ref
+        idx = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
         # conformance escape hatch: ``tokenizer='spacy'`` loads a REAL
-        # spaCy pipeline ONCE PER ACTOR (the reference's model load,
+        # spaCy pipeline once per worker (the reference's model load,
         # cmd/build_matches_db.py:220) so divergence from the
         # deterministic spec is measurable, not just asserted
-        self.tok = None
-        if tokenizer == "spacy":
+        tok = None
+        if self.tokenizer == "spacy":
             from ..functions.text import make_spacy_tokenizer
 
-            self.tok = make_spacy_tokenizer()
-        elif tokenizer != "spec":
-            raise ValueError(f"unknown tokenizer {tokenizer!r}")
+            tok = make_spacy_tokenizer()
+        return idx["title_to_eid"], idx["eid_to_label"], tok
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        title_to_eid, eid_to_label, tok = self._state or cached(
+            ("PageProcessor", ref_id(self.entities_ref), self.tokenizer), self._load
+        )
         b = CombinedBuilder()
         titles = batch["doc_id"].to_pylist()
         spans = SpanColumns(batch["spans"])
         for i, title in enumerate(titles):
-            b.add_doc(title, spans, i, self.title_to_eid, self.eid_to_label, self.tok)
+            b.add_doc(title, spans, i, title_to_eid, eid_to_label, tok)
         return b.table()

@@ -321,11 +321,12 @@ def simhash64(batch: pa.Table, text_col: str = "text") -> pa.Table:
             (hs[:, None] >> np.arange(64, dtype=np.uint64)[None, :])
             & np.uint64(1)
         ).astype(np.int64)
-        contrib = 2 * bits - 1
+        # one trailing zero row makes every start (== len(hs) for
+        # trailing tokenless docs) a valid reduceat index without
+        # shortening the previous doc's segment
+        contrib = np.vstack([2 * bits - 1, np.zeros((1, 64), np.int64)])
         lens = np.diff(np.append(starts, len(hs)))
-        acc = np.add.reduceat(
-            contrib, np.minimum(starts, len(hs) - 1), axis=0
-        )
+        acc = np.add.reduceat(contrib, starts, axis=0)
         sig = ((acc > 0).astype(np.uint64)
                << np.arange(64, dtype=np.uint64)[None, :]).sum(
             axis=1, dtype=np.uint64
@@ -714,8 +715,10 @@ class QualityModel:
             msgs = np.char.add(self.salt, np.asarray(words)).astype("S")
             buckets = md5_u64(msgs) % np.uint64(self.dim)
             wt = self.weights[buckets.astype(np.int64)]
-            # per-doc sums; empty docs (start == next start) get 0
-            sums = np.add.reduceat(wt, np.minimum(starts, len(wt) - 1))
+            # per-doc sums over wt padded with one zero, so a trailing
+            # tokenless doc's start (== len) stays a valid index; empty
+            # docs (start == next start) get 0
+            sums = np.add.reduceat(np.append(wt, 0), starts)
             lens = np.diff(np.append(starts, len(wt)))
             scores = np.where(lens > 0, sums, 0)
         out = batch.drop_columns(["text"])

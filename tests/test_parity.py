@@ -175,6 +175,49 @@ def test_stage1_parity(inputs):
     assert got_mentions == sim_mentions
 
 
+def _combined_rows(ds):
+    """Combined rows as sortable tuples, nested matches and mentions
+    included (list order within a row is part of the result)."""
+    rows = []
+    for r in ds.iter_rows():
+        rows.append(
+            tuple(
+                tuple(tuple(sorted(m.items())) for m in v) if isinstance(v, list) else v
+                for _, v in sorted(r.items())
+            )
+        )
+    return sorted(rows)
+
+
+def test_stage1_partition_invariance(inputs):
+    """Batch boundaries never change Stage 1: batch_size 7 and 64 give
+    identical combined rows, and those rows are the golden ones."""
+    docs, ents, idmap, docs_rows, idx = inputs
+    small = build_matches(docs, ents, batch_size=7).materialize()
+    large = build_matches(docs, ents, batch_size=64).materialize()
+    rows = _combined_rows(small)
+    assert rows == _combined_rows(large)
+
+    sim_pages, sim_matches, sim_mentions = simulate_stage1(docs_rows, idx)
+    by_title = {r["title"]: r for r in small.iter_rows()}
+    assert sorted(by_title) == sorted(p[0] for p in sim_pages)
+    assert all(r["error"] == "" for r in by_title.values())
+    assert sorted(
+        (r["title"], r["clean_text"], r["link_count"], r["entity_link_count"], r["match_count"])
+        for r in by_title.values()
+    ) == sorted(sim_pages)
+    assert sorted(
+        (m["entity_id"], m["entity_label"], m["mention"], title, m["start_char"], m["end_char"])
+        for title, r in by_title.items()
+        for m in r["matches"]
+    ) == sorted(sim_matches)
+    assert {
+        (m["entity_id"], m["entity_label"], m["mention"])
+        for r in by_title.values()
+        for m in r["mentions"]
+    } == sim_mentions
+
+
 @pytest.mark.parametrize(
     "kw",
     [

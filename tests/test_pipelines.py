@@ -4,6 +4,11 @@ Parity checks follow SURVEY.md §5: table-level, order-insensitive
 (the reference's own output order is nondeterministic via
 imap_unordered, reference cmd/build_matches_db.py:163)."""
 
+import os
+import signal
+import subprocess
+import sys
+
 import pandas as pd
 import pytest
 
@@ -21,6 +26,48 @@ from entity_context_crawler_ray.sources.docs import (
 )
 
 SF = "/root/testdata/sf0.001"
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+ONE_CPU_BUILD = """
+import ray
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR", log_to_driver=False)
+from ray.data import DataContext
+DataContext.get_current().enable_progress_bars = False
+from entity_context_crawler_ray.pipelines.build_matches import build_matches
+from entity_context_crawler_ray.sources.docs import entity_catalog, read_docs
+n = build_matches(read_docs({sf!r}), entity_catalog({sf!r})).materialize().count()
+ray.shutdown()
+print("rows", n)
+"""
+
+
+def test_build_matches_finishes_on_one_cpu():
+    """Stage 1 must not hold the CPUs its own reads need: on a
+    one-CPU Ray cluster it finishes (in its own process, with its own
+    cluster; the process group, Ray's processes included, is killed
+    if it hangs)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (ROOT, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-c", ONE_CPU_BUILD.format(sf=SF)],
+        cwd=ROOT,
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("build_matches did not finish within 60 s at num_cpus=1")
+    assert proc.returncode == 0, err[-3000:]
+    assert "rows 500" in out
 
 
 @pytest.fixture(scope="module")

@@ -1594,6 +1594,109 @@ def test_vectorized_kernels_empty_and_degenerate_batches():
     assert textstats.QualityModel(dim=64)(one)["score"][0].as_py() == 0
 
 
+def test_simhash_trailing_tokenless_doc_keeps_previous_signature():
+    """A tokenless doc at the end of a batch must not shorten the
+    previous doc's reduceat segment: each signature is the doc's own."""
+    batch = pa.table({"doc_id": [0, 1], "text": ["hello world foo bar", "!!!"]})
+    alone = pa.table({"doc_id": [0], "text": ["hello world foo bar"]})
+    got = textstats.simhash64(batch)["simhash"].to_pylist()
+    assert got[0] == textstats.simhash64(alone)["simhash"][0].as_py()
+    assert got[1] == -(1 << 63)
+
+
+def test_quality_model_trailing_tokenless_doc_keeps_previous_score():
+    """Same batch-boundary case for the classifier's per-doc sums."""
+    model = textstats.QualityModel()
+    batch = pa.table({"doc_id": [0, 1], "text": ["hello world foo bar", "!!!"]})
+    alone = pa.table({"doc_id": [0], "text": ["hello world foo bar"]})
+    got = model(batch)["score"].to_pylist()
+    assert got[0] == model(alone)["score"][0].as_py() == -881
+    assert got[1] == 0
+
+
+def _duckdb_rows(sf_dir, table, sql):
+    duckdb = pytest.importorskip("duckdb")
+    con = duckdb.connect()
+    con.execute(
+        f"CREATE VIEW {table} AS SELECT * FROM read_parquet('{sf_dir}/{table}.parquet')"
+    )
+    return con.execute(sql).df()
+
+
+def _sorted_frame(df):
+    df = df[sorted(df.columns)]
+    return df.sort_values(list(df.columns)).reset_index(drop=True)
+
+
+def test_weighted_sample_queries_reject_weights_beyond_sql_range(tmp_path):
+    """The md5_maxw pair agrees up to the SQL twins' hash-index range
+    and raises beyond it instead of silently diverging."""
+    import pyarrow.parquet as pq
+
+    from entity_context_crawler_ray.pipelines import queries as q
+
+    def lineitem(top):
+        n = 40
+        pq.write_table(
+            pa.table(
+                {
+                    "l_orderkey": pa.array(range(n), pa.int64()),
+                    "l_linenumber": pa.array([1] * n, pa.int32()),
+                    "l_quantity": pa.array(
+                        [float(top)] + [float(i % 50 + 1) for i in range(1, n)]
+                    ),
+                }
+            ),
+            tmp_path / "lineitem.parquet",
+        )
+
+    lineitem(q.WSAMP_MAX_WEIGHT)
+    got = q.q_weighted_sample(str(tmp_path)).to_pandas()
+    want = _duckdb_rows(str(tmp_path), "lineitem", q.SQL_WEIGHTED_SAMPLE)
+    pd.testing.assert_frame_equal(
+        _sorted_frame(got), _sorted_frame(want), check_dtype=False
+    )
+
+    lineitem(q.WSAMP_MAX_WEIGHT + 1)
+    with pytest.raises(Exception, match="max_weight"):
+        q.q_weighted_sample(str(tmp_path)).materialize()
+
+    # grouped twin: weight = value*100 // 1000 + 1
+    pq.write_table(
+        pa.table(
+            {
+                "event_id": pa.array([1, 2, 3], pa.int64()),
+                "event_type": ["a", "a", "b"],
+                "value": [q.WSAMP_MAX_WEIGHT * 10.0, 1.0, 2.0],
+            }
+        ),
+        tmp_path / "events.parquet",
+    )
+    with pytest.raises(Exception, match="max_weight"):
+        q.q_weighted_sample_grouped(str(tmp_path)).materialize()
+
+
+def test_incremental_dedup_non_ascii_text_matches_sql(tmp_path):
+    """Non-ASCII documents hash as UTF-8 bytes (DuckDB's md5) instead
+    of failing the content-key encode."""
+    import pyarrow.parquet as pq
+
+    from entity_context_crawler_ray.pipelines import queries as q
+
+    texts = ["naïve café", "plain ascii", "Grüße", "ünïcode ✓",
+             "naïve café", "plain ascii", "new ✓ text", "Grüße"]
+    pq.write_table(
+        pa.table({"doc_id": pa.array(range(1, 9), pa.int64()), "text": texts}),
+        tmp_path / "documents.parquet",
+    )
+    got = q.q_incremental_dedup(str(tmp_path)).to_pandas()
+    want = _duckdb_rows(str(tmp_path), "documents", q.SQL_INCREMENTAL_DEDUP)
+    pd.testing.assert_frame_equal(
+        _sorted_frame(got), _sorted_frame(want), check_dtype=False
+    )
+    assert got["true_dup"].sum() == 3
+
+
 def test_weighted_sample_grouped_per_group_topk():
     import hashlib
 
