@@ -150,30 +150,6 @@ def run_bench() -> dict:
     timings["crawl"] = _median(crawl_walls)
     runs["crawl"] = crawl_walls
 
-    # --- same crawl, bucketed scheduling forced (driver_threshold=0):
-    # the 10^10-frontier path; recorded so the distributed-resident
-    # frontier's overhead vs the driver fast path is measured per round
-    if os.environ.get("GRAFT_SKIP_BUCKETED", "") != "1":
-        from dataclasses import replace as _dc_replace
-
-        out_b = f"{out_base}/out_bucketed_{NUM_CPUS}"
-        walls = []
-        for _ in range(REPEATS):
-            shutil.rmtree(out_b, ignore_errors=True)
-            t0 = time.time()
-            metrics_b = crawl(
-                store,
-                docsrc.seed_table(SF_DIR, replicas=REPLICAS),
-                ref,
-                out_b,
-                _dc_replace(cfg, driver_threshold=0),
-                store_refs=store_refs,
-            )
-            walls.append(round(time.time() - t0, 3))
-            assert metrics_b["urls_fetched"] == metrics["urls_fetched"]
-        timings["crawl_bucketed"] = _median(walls)
-        runs["crawl_bucketed"] = walls
-
     # --- contexts build on the crawled pages ----------------------------
     if SKIP_CONTEXTS:
         timings["contexts"] = 0.0
@@ -259,7 +235,6 @@ def run_scaling() -> None:
             GRAFT_TEXT_REPEAT=repeat,
             GRAFT_SKIP_QUERIES="1",
             GRAFT_SKIP_CONTEXTS="1",
-            GRAFT_SKIP_BUCKETED="1",
         )
         out = subprocess.run(
             [sys.executable, os.path.abspath(__file__)],

@@ -179,7 +179,7 @@ def cmd_crawl(args) -> int:
     seeds = pa.table(
         {"url": pa.array(titles), "priority": pa.array([1.0] * len(titles))}
     )
-    cfg_kw = dict(
+    cfg = CrawlConfig(
         max_depth=args.max_depth,
         round_budget=args.round_budget,
         capacity=args.capacity,
@@ -189,9 +189,6 @@ def cmd_crawl(args) -> int:
         doc_store_partitions=args.partitions,
         max_rounds=args.max_rounds,
     )
-    if args.driver_threshold is not None:
-        cfg_kw["driver_threshold"] = args.driver_threshold
-    cfg = CrawlConfig(**cfg_kw)
     metrics = crawl(
         args.docstore,
         seeds,
@@ -294,14 +291,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=None,
         help="wall-clock politeness: tokens/sec accrual instead of "
         "per-round refill",
-    )
-    p3.add_argument(
-        "--driver-threshold",
-        dest="driver_threshold",
-        type=int,
-        default=None,
-        help="frontier rows above which scheduling switches to the "
-        "bucketed on-storage path (0 = always bucketed)",
     )
 
     p4 = sub.add_parser(

@@ -7,23 +7,23 @@ The rebuild makes that explicit: a priority URL frontier drained in
 rounds, with
 
 - a sharded **bloom seen-filter** (state/bloom.py) probed and marked
-  from distributed ``map_batches`` stages,
+  by the per-bucket schedule tasks,
 - per-host **politeness token buckets + robots budgets**
-  (state/politeness.py) applied in a ``groupby(host)`` admission
-  stage (optionally pre-truncated per salted sub-bucket for hot
-  hosts — the exact-top-K combiner trick, SURVEY.md §7.4),
+  (state/politeness.py), one batched admission call per frontier
+  bucket; hot buckets are first pre-truncated per url-hash slice to
+  each host's top-capacity (the exact-top-K combiner trick,
+  SURVEY.md §7.4),
 - a global **priority + round budget** split, deterministic via
   (priority desc, url asc) ordering — per-bucket local top-budget
-  truncation + a bounded driver merge in the bucketed regime,
-- **fetch+extract** as an actor-pool ``map_batches`` over the
+  truncation + a bounded driver merge,
+- **fetch+extract** as a task ``map_batches`` over the
   hash-partitioned doc store, running the stage-1 matcher per fetched
   page (stages/match.py) and emitting out-links for the next round,
-- a **distributed-resident frontier** above ``driver_threshold``
-  rows: bucketed-by-host parquet dirs between rounds, written
-  in place by the producers (partition-on-write — see the bucketed-
-  frontier section below), with a semantically identical driver fast
-  path for small rounds,
-- per-round **checkpoints** (frontier table-or-dir reference + bloom/
+- a **storage-resident frontier**: bucketed-by-host parquet dirs
+  between rounds, written in place by the producers
+  (partition-on-write — see the bucketed-frontier section below); the
+  driver never holds the frontier,
+- per-round **checkpoints** (frontier dir reference + bloom/
   politeness snapshots + manifest, state/checkpoint.py) making the
   crawl resumable, and per-round partitioned parquet output
   (``out_dir/round=r/``) with a ``round`` lineage column.
@@ -52,7 +52,7 @@ import os
 import shutil
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 import pyarrow as pa
@@ -97,7 +97,6 @@ class CrawlConfig:
     bloom_bits: int = 1 << 22
     seen_filter: str = "bloom"       # 'bloom' | 'cuckoo' (deletable)
     num_politeness_shards: int = 2
-    hot_host_salt: int = 0           # >0 enables salted pre-truncation
     # Distributed pre-scheduling of HOT buckets (default-on): a
     # single-domain crawl funnels every candidate into one frontier
     # bucket (bucket = f(host)), so one schedule task would do all the
@@ -107,8 +106,7 @@ class CrawlConfig:
     # tasks (combine → bloom probe → robots-deny → per-host
     # top-capacity truncation) that leave compact presched files for
     # the admitting task — semantics-preserving because every
-    # global-top-room candidate survives its slice's top-capacity cut
-    # (the same containment argument as hot_host_salt pre-truncation).
+    # global-top-room candidate survives its slice's top-capacity cut.
     presplit_factor: float = 2.0
     presplit_min_bytes: int = 32 << 20
     presplit_slices: int = 8         # tasks per hot bucket in the wave
@@ -117,17 +115,6 @@ class CrawlConfig:
     doc_store_partitions: int = 32
     preload_store: bool = True       # pin partitions in plasma (zero-copy fetch)
     max_rounds: int = 64             # safety backstop
-    # Rounds whose frontier fits under this many rows schedule on the
-    # driver with pure pyarrow + batched parallel actor calls — the
-    # same semantics (tested against the bucketed path and the
-    # simulator), without paying per-round Dataset task overhead for
-    # kilobyte-sized bookkeeping.  Larger frontiers switch to the
-    # BUCKETED path: the frontier lives as per-bucket parquet on shared
-    # storage between rounds, never in driver memory.  Fetch+extract
-    # (the heavy stage) is distributed in both regimes; bloom and
-    # politeness actors remain the authoritative state in both.  Set to
-    # 0 to force the bucketed path (what a 10^10-URL frontier runs).
-    driver_threshold: int = 100_000
     # bucketed-frontier fan-out: num_politeness_shards × this many
     # buckets (each bucket is one schedule task + one file set per
     # producer).  0 = auto: ~1 bucket per 8 cluster CPUs (measured:
@@ -231,8 +218,8 @@ class FetchExtract:
 
 
 # --------------------------------------------------------------------------
-# Bucketed frontier (the 10^10-URL path).  The frontier between rounds
-# is NOT driver state: it is a directory of per-bucket parquet files
+# Bucketed frontier.  The frontier between rounds is NOT driver state:
+# it is a directory of per-bucket parquet files
 # (``out_dir/frontier/round=r/bucket=b/*.parquet``), bucketed by
 # hash(host) at WRITE time by whoever produces candidates — the
 # admission tasks (deferrals), the fused fetch tasks (out-link
@@ -297,8 +284,9 @@ def _combine_candidates(t: pa.Table, entity_bonus: float) -> pa.Table:
 
     Link in-degree partials for the same url are SUMMED (priority =
     total count + bonus·max(is_entity)); final rows take max(priority);
-    across both, max(priority) / min(depth) — exactly the driver
-    path's merge semantics, expressed as three Arrow group_bys."""
+    across both, max(priority) / min(depth) — the round semantics'
+    frontier dedup (module docstring step 1), expressed as three Arrow
+    group_bys."""
     if t.num_rows == 0:
         return _EMPTY_FRONTIER
     final_mask = pc.less(t["partial_count"], 0)
@@ -364,13 +352,15 @@ def _write_bucketed(
     -> retry-idempotent).  Returns rows written."""
     if cand.num_rows == 0:
         return 0
-    buckets = pa.array(
-        [
-            frontier_bucket_of(h, num_buckets, num_shards)
-            for h in cand["host"].to_pylist()
-        ],
+    # hash each distinct host once: a round's candidates repeat a few
+    # hosts many times, and every producer (seeds, deferrals, fetch-task
+    # link partials) goes through here
+    hosts = pc.unique(cand["host"])
+    host_buckets = pa.array(
+        [frontier_bucket_of(h, num_buckets, num_shards) for h in hosts.to_pylist()],
         pa.int32(),
     )
+    buckets = pc.take(host_buckets, pc.index_in(cand["host"], value_set=hosts))
     store = get_store()
     for b in pc.unique(buckets).to_pylist():
         sub = cand.filter(pc.equal(buckets, b))
@@ -417,8 +407,8 @@ def _make_bucket_scheduler(
             raw = pa.concat_tables([store.read_table(f) for f in files])
             cand = _combine_candidates(raw, config.entity_bonus)
             if cand.num_rows:
-                unseen = ShardedSeenFilter(bloom).probe(cand["url"].to_pylist())
-                cand = cand.filter(pa.array([not s for s in unseen]))
+                seen = ShardedSeenFilter(bloom).probe(cand["url"].to_pylist())
+                cand = cand.filter(pa.array([not s for s in seen]))
             n_denied = 0
             n_deferred = 0
             n_admitted = 0
@@ -443,49 +433,17 @@ def _make_bucket_scheduler(
                         runs.append((hosts[start], start, i))
                         start = i
                 urls = cand["url"].to_pylist()
-                run_hosts: List[str] = []
-                run_urls: List[List[str]] = []
-                pre_defer_idx: List[int] = []
-                pre_deny = 0
-                admit_idx_lists: List[List[int]] = []
-                if config.hot_host_salt > 0:
-                    # hot-host pre-truncation: robots-deny locally, keep
-                    # only the per-host top-capacity for the admission
-                    # call (global top-tokens ⊆ per-host top-capacity),
-                    # defer the tail without touching the actor
-                    for host, s, e in runs:
-                        prefixes = tuple(config.deny.get(host, ()))
-                        kept: List[int] = []
-                        for i in range(s, e):
-                            if prefixes and any(urls[i].startswith(p) for p in prefixes):
-                                pre_deny += 1
-                            elif len(kept) < config.capacity:
-                                kept.append(i)
-                            else:
-                                pre_defer_idx.append(i)
-                        if kept:
-                            run_hosts.append(host)
-                            run_urls.append([urls[i] for i in kept])
-                            admit_idx_lists.append(kept)
-                else:
-                    for host, s, e in runs:
-                        run_hosts.append(host)
-                        run_urls.append(urls[s:e])
-                        admit_idx_lists.append(list(range(s, e)))
-                statuses = (
-                    ray.get(
-                        politeness[b % num_shards].admit_many.remote(
-                            round_id, run_hosts, run_urls
-                        )
+                statuses = ray.get(
+                    politeness[b % num_shards].admit_many.remote(
+                        round_id,
+                        [host for host, _, _ in runs],
+                        [urls[s:e] for _, s, e in runs],
                     )
-                    if run_hosts
-                    else []
                 )
                 admit_i: List[int] = []
-                defer_i: List[int] = list(pre_defer_idx)
-                n_denied = pre_deny
-                for idxs, stats in zip(admit_idx_lists, statuses):
-                    for i, st in zip(idxs, stats):
+                defer_i: List[int] = []
+                for (_, s, _), stats in zip(runs, statuses):
+                    for i, st in enumerate(stats, s):
                         if st == "admit":
                             admit_i.append(i)
                         elif st == "defer":
@@ -554,21 +512,6 @@ def _make_bucket_scheduler(
         return pa.concat_tables(out)
 
     return schedule_bucket
-
-
-@ray.remote(num_cpus=1)
-def _read_bucket_dir_task(bdir: str, entity_bonus: float) -> pa.Table:
-    """Read one frontier bucket dir and combine its candidate rows
-    (complete per bucket: a url's copies/partials share its bucket).
-    Used for the driver-regime read-back so the driver never loops
-    over hundreds of small files serially — it gets num_buckets
-    already-combined tables back in parallel (FRONTIER_SCHEMA)."""
-    store = get_store()
-    files = store.list_tables(os.path.join(bdir, "*"))
-    if not files:
-        return _EMPTY_FRONTIER
-    tbls = [store.read_table(f) for f in files]
-    return _combine_candidates(pa.concat_tables(tbls), entity_bonus)
 
 
 @ray.remote(num_cpus=1)
@@ -700,10 +643,9 @@ def _schedule_round_bucketed(
     Scheduling is kilobyte-sized bookkeeping at a fixed fan-out (one
     unit per bucket), so it runs as PLAIN Ray tasks — one task per
     bucket chunk — rather than a per-round Dataset execution: the
-    streaming executor's launch cost (~0.3 s) dominated small rounds
-    (BENCH r2: crawl_bucketed 1.39× the driver path), while task
-    submission is ~ms.  Each task loops its chunk of buckets through
-    the same scheduler body, so semantics are unchanged."""
+    streaming executor's launch cost (~0.3 s) dominated small rounds,
+    while task submission is ~ms.  Each task loops its chunk of
+    buckets through the same scheduler body."""
     bucket_ids = sorted(
         int(os.path.basename(p).split("=", 1)[1])
         for p in _glob.glob(os.path.join(in_dir, "bucket=*"))
@@ -840,73 +782,6 @@ _EMPTY_FRONTIER = pa.table(
 )
 
 
-def _schedule_round_driver(
-    frontier_table: pa.Table, bloom, politeness, config: CrawlConfig, round_id: int
-):
-    """Driver fast path for round scheduling (dedup → bloom probe →
-    per-host admission → global sort + budget split).  Identical
-    semantics to the distributed path; actor calls are batched and
-    issued in parallel across shards."""
-    # dedup by url keeping max priority / min depth; host rides along
-    # ("min" of identical values) so it is never recomputed per row
-    agg = frontier_table.group_by("url").aggregate(
-        [("priority", "max"), ("depth", "min"), ("host", "min")]
-    )
-    urls = agg["url"].to_pylist()
-    prios = agg["priority_max"].to_pylist()
-    depths = agg["depth_min"].to_pylist()
-    hosts = agg["host_min"].to_pylist()
-
-    seen = ShardedSeenFilter(bloom).probe(urls) if urls else []
-
-    by_host: Dict[str, list] = {}
-    info = {}
-    for u, p, d, h, s in zip(urls, prios, depths, hosts, seen):
-        if not s:
-            info[u] = (p, d, h)
-            by_host.setdefault(h, []).append((u, p))
-    # parallel batched admission: one in-flight call per host
-    futs = {}
-    for host, rows in by_host.items():
-        rows.sort(key=lambda r: (-r[1], r[0]))
-        shard = politeness_shard_of(host, len(politeness))
-        futs[host] = politeness[shard].admit.remote(
-            round_id, host, [r[0] for r in rows]
-        )
-    results = dict(zip(futs.keys(), ray.get(list(futs.values()))))
-
-    admitted, deferred = [], []
-    n_denied = 0
-    for host, (adm, dfr, den) in results.items():
-        admitted.extend((u, *info[u]) for u in adm)
-        deferred.extend((u, *info[u]) for u in dfr)
-        n_denied += len(den)
-
-    admitted.sort(key=lambda r: (-r[1], r[0]))
-    n_admitted = len(admitted)
-    fetch_rows = admitted[: config.round_budget]
-    cut = admitted[config.round_budget :]
-    deferred.extend(cut)
-    _refund_over_budget(politeness, round_id, [r[3] for r in cut])
-
-    def to_table(rows) -> pa.Table:
-        if not rows:
-            return _EMPTY_FRONTIER
-        return pa.table(
-            {
-                "url": pa.array([r[0] for r in rows], pa.string()),
-                "host": pa.array([r[3] for r in rows], pa.string()),
-                "priority": pa.array([r[1] for r in rows], pa.float64()),
-                "depth": pa.array([r[2] for r in rows], pa.int32()),
-            }
-        )
-
-    fetch_tbl = to_table(fetch_rows)
-    if fetch_tbl.num_rows:
-        ShardedSeenFilter(bloom).set_seen(fetch_tbl["url"].to_pylist())
-    return fetch_tbl, to_table(deferred), n_denied, n_admitted
-
-
 def crawl(
     store_dir: str,
     seeds: pa.Table,
@@ -948,41 +823,36 @@ def crawl(
         for _ in range(config.num_politeness_shards)
     ]
 
+    num_buckets = config.num_frontier_buckets()
+    num_shards = config.num_politeness_shards
     start_round = 0
-    # Frontier residency: EITHER a small driver-side table (rounds under
-    # driver_threshold) OR a bucketed parquet dir on shared storage (the
-    # 10^10-URL regime) — never both.  Transitions happen at the round
-    # boundary in either direction; frontier_rows is the candidate-row
-    # count (pre-dedup upper bound) used for the regime decision.
-    frontier_tbl: Optional[pa.Table] = None
-    frontier_dir: Optional[str] = None
-    frontier_rows = 0
-    if not resume:
-        shutil.rmtree(os.path.join(out_dir, "frontier"), ignore_errors=True)
+    # The frontier lives on storage only: frontier_dir is the bucketed
+    # parquet dir the next round schedules from, and frontier_rows its
+    # candidate-row count (a pre-dedup upper bound; 0 ends the crawl).
     if resume and ckpt_dir is not None and latest_round(ckpt_dir) is not None:
         state = load_checkpoint(ckpt_dir, out_dir=out_dir)
         start_round = state["round"] + 1
-        if state.get("frontier_dir"):
-            frontier_dir = state["frontier_dir"]
-            frontier_rows = state["frontier_rows"]
-        else:
-            frontier_tbl = state["frontier"]
-            frontier_rows = frontier_tbl.num_rows
+        frontier_dir = state["frontier_dir"]
+        frontier_rows = state["frontier_rows"]
         ShardedSeenFilter(bloom).restore(state["bloom"])
         ray.get(
             [h.restore.remote(s) for h, s in zip(politeness, state["politeness"])]
         )
     else:
+        shutil.rmtree(os.path.join(out_dir, "frontier"), ignore_errors=True)
         urls = seeds["url"].to_pylist()
-        frontier_tbl = pa.table(
+        seed_tbl = pa.table(
             {
                 "url": pa.array(urls, pa.string()),
                 "host": pa.array([host_of(u) for u in urls], pa.string()),
                 "priority": seeds["priority"],
                 "depth": pa.array([0] * len(urls), pa.int32()),
             }
+        ).cast(FRONTIER_SCHEMA)
+        frontier_dir = _frontier_round_dir(out_dir, 0)
+        frontier_rows = _write_bucketed(
+            _as_candidates(seed_tbl), frontier_dir, "seed", num_buckets, num_shards
         )
-        frontier_rows = frontier_tbl.num_rows
 
     # optional plasma preload: one copy of each partition in the
     # object store, mapped zero-copy by every fetch worker (callers may
@@ -996,11 +866,9 @@ def crawl(
     # actor pays process startup; do it once, in parallel)
     ray.get(
         [h.probe.remote([]) for h in bloom]
-        + [h.admit.remote(-1, "__warm__", []) for h in politeness]
+        + [h.admit_many.remote(-1, [], []) for h in politeness]
     )
 
-    num_buckets = config.num_frontier_buckets()
-    num_shards = config.num_politeness_shards
     metrics: Dict = {"rounds": [], "urls_fetched": 0, "pages_extracted": 0}
     t_start = time.time()
 
@@ -1015,67 +883,23 @@ def crawl(
             phase_t[name] = round(now - since[0], 3)
             since[0] = now
 
-        bucketed = frontier_rows > config.driver_threshold
         next_dir = _frontier_round_dir(out_dir, round_id + 1)
-        # next_dir receives writes in BOTH regimes (schedule deferrals
-        # when bucketed; fetch-task link partials always) — clear any
-        # stale files from an interrupted earlier attempt at this round
+        # next_dir receives the schedule deferrals and the fetch-task
+        # link partials — clear any stale files from an interrupted
+        # earlier attempt at this round
         shutil.rmtree(next_dir, ignore_errors=True)
 
-        # scheduling: dedup -> probe -> admission -> sort + budget split
-        # (driver fast path for small rounds, bucketed otherwise), then
-        # the fetch set is marked seen
-        deferred_tbl = None
-        loaded_dir = None
-        if bucketed:
-            if frontier_dir is None:
-                # regime transition: spill the (already driver-resident)
-                # table out by bucket; from here the frontier stays on
-                # storage until it shrinks back under the threshold
-                frontier_dir = _frontier_round_dir(out_dir, round_id)
-                shutil.rmtree(frontier_dir, ignore_errors=True)
-                _write_bucketed(
-                    _as_candidates(frontier_tbl),
-                    frontier_dir,
-                    "seed",
-                    num_buckets,
-                    num_shards,
-                )
-                frontier_tbl = None
-            (
-                fetch_tbl,
-                n_deferred,
-                n_denied,
-                n_admitted,
-                n_presplit,
-            ) = _schedule_round_bucketed(
-                frontier_dir, next_dir, bloom, politeness, config, round_id, num_buckets
-            )
-        else:
-            if frontier_tbl is None:
-                # regime transition: the bucketed frontier shrank under
-                # the threshold — load + combine it with one parallel
-                # task per bucket dir (bounded by driver_threshold rows
-                # by definition; the driver never loops files serially)
-                bdirs = sorted(_glob.glob(os.path.join(frontier_dir, "bucket=*")))
-                parts = ray.get(
-                    [
-                        _read_bucket_dir_task.remote(d, config.entity_bonus)
-                        for d in bdirs
-                    ]
-                )
-                merged = (
-                    pa.concat_tables(parts) if parts else _EMPTY_FRONTIER
-                )
-                frontier_tbl = _combine_candidates(
-                    _as_candidates(merged), config.entity_bonus
-                )
-                loaded_dir = frontier_dir  # consumed; removable post-ckpt
-                frontier_dir = None
-            fetch_tbl, deferred_tbl, n_denied, n_admitted = _schedule_round_driver(
-                frontier_tbl, bloom, politeness, config, round_id
-            )
-            n_presplit = 0
+        # scheduling: combine -> probe -> admission -> sort + budget
+        # split, then the fetch set is marked seen
+        (
+            fetch_tbl,
+            n_deferred,
+            n_denied,
+            n_admitted,
+            n_presplit,
+        ) = _schedule_round_bucketed(
+            frontier_dir, next_dir, bloom, politeness, config, round_id, num_buckets
+        )
         _mark("schedule")
 
         # fetch log (crawl-ordering parity artifact)
@@ -1106,17 +930,11 @@ def crawl(
             # ONE fused execution per round: fetch + extract + write the
             # page parquet from inside the task (deterministic file name
             # per batch -> a retried task overwrites its own file, never
-            # duplicates) + per-batch link partial aggregates.  The
-            # partials are written straight into the next round frontier
-            # dir in BOTH regimes (partition-on-write: the link merge
-            # happens per-bucket at the next read, no groupby execution,
-            # nothing returned to the driver but counters).  The driver
-            # regime used to merge them driver-side, which concatenated
-            # frontier_rows × out-degree rows on the driver — the one
-            # materialization that scaled with data shape rather than
-            # config (round-3 VERDICT finding #1); now the driver only
-            # reads partials back when their row count is known to fit
-            # under driver_threshold.
+            # duplicates) + per-batch link partial aggregates, written
+            # straight into the next round's frontier dir
+            # (partition-on-write: the link merge happens per-bucket at
+            # the next schedule, no groupby execution, nothing returned
+            # to the driver but counters).
             round_dir = os.path.join(out_dir, f"round={round_id}")
             os.makedirs(round_dir, exist_ok=True)
             max_depth = config.max_depth
@@ -1242,59 +1060,9 @@ def crawl(
 
         # next frontier = deferred (politeness + over-budget) + new links
         frontier_candidates = frontier_rows
-        if bucketed:
-            consumed_dir = frontier_dir
-            frontier_dir = next_dir
-            frontier_tbl = None
-            frontier_rows = n_deferred + n_links_rows
-            deferred_count = n_deferred
-        else:
-            consumed_dir = loaded_dir
-            deferred_count = deferred_tbl.num_rows
-            est = deferred_count + n_links_rows
-            if est > config.driver_threshold:
-                # driver→bucketed flip WITHOUT materializing the link
-                # partials: the fetch tasks already wrote them into
-                # next_dir bucket dirs; spill the (threshold-bounded)
-                # deferred table beside them and hand the dir off.  The
-                # driver never concatenates frontier × out-degree rows.
-                _write_bucketed(
-                    _as_candidates(deferred_tbl),
-                    next_dir,
-                    "defer-driver",
-                    num_buckets,
-                    num_shards,
-                )
-                frontier_dir = next_dir
-                frontier_tbl = None
-                frontier_rows = est
-            else:
-                # bounded read-back: at most driver_threshold partial
-                # rows by the check above; one parallel task per bucket
-                # dir (the fetch tasks wrote ~one file per touched
-                # bucket per batch — a serial driver loop over those
-                # small files measured ~1s/round at 32 cpus)
-                bdirs = sorted(_glob.glob(os.path.join(next_dir, "bucket=*")))
-                parts = ray.get(
-                    [
-                        _read_bucket_dir_task.remote(d, config.entity_bonus)
-                        for d in bdirs
-                    ]
-                )
-                cand_parts = [
-                    _as_candidates(p) for p in parts if p.num_rows
-                ]
-                if deferred_tbl.num_rows:
-                    cand_parts.append(_as_candidates(deferred_tbl).cast(CANDIDATE_SCHEMA))
-                frontier_tbl = _combine_candidates(
-                    pa.concat_tables(cand_parts, promote_options="default")
-                    if cand_parts
-                    else CANDIDATE_SCHEMA.empty_table(),
-                    config.entity_bonus,
-                )
-                shutil.rmtree(next_dir, ignore_errors=True)
-                frontier_dir = None
-                frontier_rows = frontier_tbl.num_rows
+        consumed_dir = frontier_dir
+        frontier_dir = next_dir
+        frontier_rows = n_deferred + n_links_rows
         _mark("frontier")
 
         metrics["urls_fetched"] += fetch_tbl.num_rows
@@ -1308,9 +1076,8 @@ def crawl(
                 "extracted": n_fetched,
                 "fetch_misses": n_missing,
                 "robots_denied": n_denied,
-                "deferred": deferred_count,
+                "deferred": n_deferred,
                 "new_frontier": frontier_rows,
-                "scheduling": "bucketed" if bucketed else "driver",
                 "presplit_buckets": n_presplit,
                 "sec": round(time.time() - t_round, 3),
                 "phases": phase_t,
@@ -1321,18 +1088,15 @@ def crawl(
             save_checkpoint(
                 ckpt_dir,
                 round_id,
-                frontier_tbl,
                 ShardedSeenFilter(bloom).snapshot(),
                 ray.get([h.snapshot.remote() for h in politeness]),
                 frontier_dir=frontier_dir,
                 frontier_rows=frontier_rows,
                 out_dir=out_dir,
             )
-        if consumed_dir is not None:
-            # the round consumed its input frontier dir; only the next
-            # round dir (referenced by the checkpoint just written) is
-            # still live
-            shutil.rmtree(consumed_dir, ignore_errors=True)
+        # the round consumed its input frontier dir; only the next round
+        # dir (referenced by the checkpoint just written) is still live
+        shutil.rmtree(consumed_dir, ignore_errors=True)
 
     metrics["wall_sec"] = round(time.time() - t_start, 3)
     metrics["urls_per_sec"] = round(

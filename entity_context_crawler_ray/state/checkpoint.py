@@ -1,10 +1,9 @@
-"""Per-round crawl checkpoints: frontier snapshot + bloom shard bits +
-politeness bucket state, manifest-last for atomic visibility
-(the parquet+manifest stand-in for Lance versioned datasets — the
-``lance`` package is not available in this environment, so the store
-is versioned parquet directories with a JSON manifest written last;
-swap ``write_frontier``/``read_frontier`` for ``lance.write_dataset``
-when it is).
+"""Per-round crawl checkpoints: a reference to the bucketed frontier
+dir + bloom shard bits + politeness bucket state, manifest-last for
+atomic visibility.  The frontier itself is never copied here: it is
+already durable parquet under the crawl output (written through
+state/storage.py, the parquet/Lance swap point), so the manifest
+records only its path and candidate-row count.
 
 Resume contract (tested in tests/test_crawl.py): kill after round r,
 ``crawl(..., resume=True)`` restores round r's frontier + actor state
@@ -18,10 +17,6 @@ import os
 import pickle
 from typing import Dict, List, Optional
 
-import pyarrow as pa
-
-from .storage import get_store
-
 
 def _round_dir(ckpt_dir: str, round_id: int) -> str:
     return os.path.join(ckpt_dir, f"round={round_id}")
@@ -30,32 +25,24 @@ def _round_dir(ckpt_dir: str, round_id: int) -> str:
 def save_checkpoint(
     ckpt_dir: str,
     round_id: int,
-    frontier: Optional[pa.Table],
     bloom_snaps: List[Dict],
     politeness_snaps: List[Dict],
     *,
-    frontier_dir: Optional[str] = None,
-    frontier_rows: Optional[int] = None,
+    frontier_dir: str,
+    frontier_rows: int,
     out_dir: Optional[str] = None,
 ) -> None:
-    """``frontier`` is the small driver-resident table, OR None with
-    ``frontier_dir`` pointing at the bucketed on-storage frontier (the
-    10^10-URL regime: the checkpoint then records a REFERENCE — the
-    frontier is already durable parquet, re-writing it here would be a
-    second full copy per round).
+    """Record round ``round_id``: ``frontier_dir`` is the bucketed
+    frontier the next round schedules from (a REFERENCE — re-writing
+    the frontier here would be a second full copy per round).
 
     When ``out_dir`` is given, ``frontier_dir`` is stored RELATIVE to
     it, so a checkpoint survives the output tree being moved or
     mounted at a different path on resume."""
-    assert (frontier is None) != (frontier_dir is None)
-    if frontier_dir is not None and out_dir is not None:
+    if out_dir is not None:
         frontier_dir = os.path.relpath(frontier_dir, out_dir)
     d = _round_dir(ckpt_dir, round_id)
     os.makedirs(d, exist_ok=True)
-    if frontier is not None:
-        store = get_store()
-        store.write_table(frontier, os.path.join(d, "frontier" + store.suffix))
-        frontier_rows = frontier.num_rows
     with open(os.path.join(d, "bloom.pkl"), "wb") as fh:
         pickle.dump(bloom_snaps, fh)
     with open(os.path.join(d, "politeness.json"), "w") as fh:
@@ -113,42 +100,41 @@ def load_checkpoint(
     d = _round_dir(ckpt_dir, round_id)
     with open(os.path.join(d, "manifest.json")) as fh:
         manifest = json.load(fh)
-    frontier = None
     fdir = manifest.get("frontier_dir")
-    if fdir is not None:
-        if not os.path.isabs(fdir):
-            if out_dir is None:
-                # resolving against the process CWD would silently pick
-                # a wrong path for relocated outputs; demand the anchor
-                raise ValueError(
-                    f"checkpoint round={round_id} has a relative "
-                    f"frontier_dir {fdir!r}; pass out_dir= so it can be "
-                    f"resolved against the crawl output root"
-                )
-            fdir = os.path.join(out_dir, fdir)
-        # a COMPLETED crawl's final checkpoint records frontier_rows=0
-        # with a next-round dir that was never created (nothing was
-        # deferred) — resume is then a no-op, not an error
-        if not os.path.isdir(fdir) and manifest.get("frontier_rows"):
-            raise FileNotFoundError(
-                f"checkpoint round={round_id} references frontier dir "
-                f"{fdir!r} which does not exist — the crawl loop deletes "
-                f"consumed frontier dirs, so only the LATEST checkpoint's "
-                f"frontier is resumable; resume from latest_round() or "
-                f"re-crawl"
+    if fdir is None:
+        raise ValueError(
+            f"checkpoint round={round_id} under {ckpt_dir} has no "
+            f"frontier_dir; it was not written by this crawl and cannot "
+            f"be resumed"
+        )
+    if not os.path.isabs(fdir):
+        if out_dir is None:
+            # resolving against the process CWD would silently pick
+            # a wrong path for relocated outputs; demand the anchor
+            raise ValueError(
+                f"checkpoint round={round_id} has a relative "
+                f"frontier_dir {fdir!r}; pass out_dir= so it can be "
+                f"resolved against the crawl output root"
             )
-        manifest["frontier_dir"] = fdir
-    else:
-        store = get_store()
-        frontier = store.read_table(os.path.join(d, "frontier" + store.suffix))
+        fdir = os.path.join(out_dir, fdir)
+    # a COMPLETED crawl's final checkpoint records frontier_rows=0
+    # with a next-round dir that was never created (nothing was
+    # deferred) — resume is then a no-op, not an error
+    if not os.path.isdir(fdir) and manifest.get("frontier_rows"):
+        raise FileNotFoundError(
+            f"checkpoint round={round_id} references frontier dir "
+            f"{fdir!r} which does not exist — the crawl loop deletes "
+            f"consumed frontier dirs, so only the LATEST checkpoint's "
+            f"frontier is resumable; resume from latest_round() or "
+            f"re-crawl"
+        )
     with open(os.path.join(d, "bloom.pkl"), "rb") as fh:
         bloom = pickle.load(fh)
     with open(os.path.join(d, "politeness.json")) as fh:
         politeness = json.load(fh)
     return {
         "round": round_id,
-        "frontier": frontier,
-        "frontier_dir": manifest.get("frontier_dir"),
+        "frontier_dir": fdir,
         "frontier_rows": manifest.get("frontier_rows"),
         "bloom": bloom,
         "politeness": politeness,

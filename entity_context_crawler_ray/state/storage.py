@@ -6,10 +6,9 @@ parquet-on-directories with identical semantics).
 
 Touchpoints routed through here:
 
-- crawl checkpoints (``state/checkpoint.py``): frontier snapshot
-  tables + manifest-last visibility;
 - the bucketed frontier (``pipelines/crawl.py``): per-bucket
-  candidate files written by schedule / fetch / driver producers;
+  candidate files written by schedule / fetch / driver producers,
+  which the crawl checkpoints (``state/checkpoint.py``) reference;
 - the hash-partitioned doc store (``sources/doc_store.py``): per-
   partition page tables.
 

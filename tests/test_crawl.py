@@ -1,5 +1,5 @@
 """Crawl machinery tests: bloom shards, politeness, ordering parity
-vs the pure-Python simulator, checkpoint/resume, hot-host salting."""
+vs the pure-Python simulator, checkpoint/resume, hot-bucket presplit."""
 
 import glob
 import os
@@ -141,10 +141,11 @@ def test_crawl_matches_simulator(store_and_inputs):
             assert pq.read_table(f"{rdir}/{e['file']}").num_rows == e["rows"]
 
 
-def test_crawl_salting_and_scheduling_paths_equivalent(store_and_inputs):
-    """The distributed scheduling path (driver_threshold=0), with and
-    without hot-host salting, must reproduce the driver fast path's
-    fetch ordering exactly."""
+def test_crawl_forced_presplit_equals_plain(store_and_inputs):
+    """The hot-bucket presplit wave forced on every bucket (thresholds
+    0): wave-0 slice tasks combine/probe/deny/truncate, wave 1 merges
+    their presched files — the fetch log must equal the plain crawl's
+    row for row."""
     store, ref, docs_local, idx, seeds = store_and_inputs
     kw = dict(
         max_depth=1,
@@ -157,25 +158,11 @@ def test_crawl_salting_and_scheduling_paths_equivalent(store_and_inputs):
         max_rounds=40,
     )
     _, out_plain = _run(store, ref, seeds, CrawlConfig(**kw), "plain")
-    _, out_dist = _run(
-        store, ref, seeds, CrawlConfig(driver_threshold=0, **kw), "dist"
-    )
-    _, out_salted = _run(
-        store,
-        ref,
-        seeds,
-        CrawlConfig(driver_threshold=0, hot_host_salt=4, **kw),
-        "salted",
-    )
-    # hot-bucket presplit wave forced on every bucket (thresholds 0):
-    # wave-0 slice tasks combine/probe/deny/truncate, wave 1 merges
-    # their presched files — fetch ordering must be bit-identical
     metrics_ps, out_presplit = _run(
         store,
         ref,
         seeds,
         CrawlConfig(
-            driver_threshold=0,
             presplit_factor=0.0,
             presplit_min_bytes=0,
             presplit_slices=3,
@@ -183,22 +170,18 @@ def test_crawl_salting_and_scheduling_paths_equivalent(store_and_inputs):
         ),
         "presplit",
     )
-    a = _read_fetch_log(out_plain)[["round", "rank", "url"]]
-    b = _read_fetch_log(out_dist)[["round", "rank", "url"]]
-    c = _read_fetch_log(out_salted)[["round", "rank", "url"]]
-    d = _read_fetch_log(out_presplit)[["round", "rank", "url"]]
-    pd.testing.assert_frame_equal(a, b)
-    pd.testing.assert_frame_equal(a, c)
-    pd.testing.assert_frame_equal(a, d)
-    # the wave actually ran: every bucketed round presplit its buckets
+    pd.testing.assert_frame_equal(
+        _read_fetch_log(out_plain)[["round", "rank", "url"]],
+        _read_fetch_log(out_presplit)[["round", "rank", "url"]],
+    )
+    # the wave actually ran: every round presplit its buckets
     assert all(r["presplit_buckets"] > 0 for r in metrics_ps["rounds"])
 
 
 def test_crawl_bucketed_with_budgets_matches_simulator(store_and_inputs):
-    """The bucketed (distributed-resident frontier) path under binding
+    """Several frontier buckets per politeness shard under binding
     robots rules + host budgets + global budget must still reproduce
-    the simulator's ordering and seen set — this chains with
-    test_crawl_matches_simulator to prove bucketed == driver == sim."""
+    the simulator's ordering and seen set."""
     store, ref, docs_local, idx, seeds = store_and_inputs
     cfg = CrawlConfig(
         max_depth=1,
@@ -211,10 +194,9 @@ def test_crawl_bucketed_with_budgets_matches_simulator(store_and_inputs):
         num_politeness_shards=2,
         doc_store_partitions=8,
         max_rounds=40,
-        driver_threshold=0,
         frontier_buckets_per_shard=3,
     )
-    metrics, out = _run(store, ref, seeds, cfg, "bucketed_budget")
+    _, out = _run(store, ref, seeds, cfg, "bucketed_budget")
     sim = simulate_crawl(
         docs_local,
         list(zip(seeds["url"].to_pylist(), seeds["priority"].to_pylist())),
@@ -224,7 +206,6 @@ def test_crawl_bucketed_with_budgets_matches_simulator(store_and_inputs):
     log = _read_fetch_log(out)
     assert list(zip(log["round"], log["rank"], log["url"])) == sim["fetch_log"]
     assert set(log["url"]) == sim["seen"]
-    assert all(r["scheduling"] == "bucketed" for r in metrics["rounds"])
     # the frontier never lived on the driver: consumed round dirs are
     # cleaned up, at most the final (empty) round dir remains
     assert len(glob.glob(f"{out}/frontier/round=*")) <= 1
@@ -247,7 +228,6 @@ def test_crawl_presplit_with_budgets_matches_simulator(store_and_inputs):
         num_politeness_shards=2,
         doc_store_partitions=8,
         max_rounds=40,
-        driver_threshold=0,
         presplit_factor=0.0,
         presplit_min_bytes=0,
         presplit_slices=3,
@@ -286,7 +266,6 @@ def test_crawl_one_host_seed_auto_presplit(store_and_inputs):
         num_politeness_shards=2,
         doc_store_partitions=8,
         max_rounds=40,
-        driver_threshold=0,
         presplit_min_bytes=0,
         presplit_slices=3,
     )
@@ -304,8 +283,10 @@ def test_crawl_one_host_seed_auto_presplit(store_and_inputs):
 
 
 def test_crawl_bucketed_resume_equivalence(store_and_inputs):
-    """Resume in the bucketed regime: the checkpoint references the
-    on-storage frontier dir instead of embedding a table."""
+    """Kill after round 0 (max_rounds=1), then resume: the checkpoint
+    references the on-storage frontier dir, and the resumed crawl
+    reproduces the uninterrupted fetch log without duplicating any
+    page row."""
     store, ref, docs_local, idx, seeds = store_and_inputs
     kw = dict(
         max_depth=1,
@@ -315,7 +296,6 @@ def test_crawl_bucketed_resume_equivalence(store_and_inputs):
         num_bloom_shards=2,
         num_politeness_shards=2,
         doc_store_partitions=8,
-        driver_threshold=0,
     )
     m_full, out_full = _run(
         store, ref, seeds, CrawlConfig(max_rounds=40, **kw), "bfull", ckpt=True
@@ -330,42 +310,6 @@ def test_crawl_bucketed_resume_equivalence(store_and_inputs):
     pd.testing.assert_frame_equal(
         _read_fetch_log(out_full)[["round", "rank", "url"]],
         _read_fetch_log(out_part)[["round", "rank", "url"]],
-    )
-    assert m_full["urls_fetched"] == m_a["urls_fetched"] + m_b["urls_fetched"]
-
-
-def test_crawl_resume_equivalence(store_and_inputs):
-    store, ref, docs_local, idx, seeds = store_and_inputs
-    kw = dict(
-        max_depth=1,
-        round_budget=30,
-        capacity=4,
-        refill=2,
-        num_bloom_shards=2,
-        num_politeness_shards=2,
-        doc_store_partitions=8,
-    )
-    # uninterrupted run
-    m_full, out_full = _run(
-        store, ref, seeds, CrawlConfig(max_rounds=40, **kw), "full", ckpt=True
-    )
-    # interrupted after round 0 (max_rounds=1), then resumed
-    m_a, out_part = _run(
-        store, ref, seeds, CrawlConfig(max_rounds=1, **kw), "part", ckpt=True
-    )
-    m_b, _ = _run(
-        store,
-        ref,
-        seeds,
-        CrawlConfig(max_rounds=40, **kw),
-        "part",
-        ckpt=True,
-        resume=True,
-    )
-    full_log = _read_fetch_log(out_full)
-    part_log = _read_fetch_log(out_part)
-    pd.testing.assert_frame_equal(
-        full_log[["round", "rank", "url"]], part_log[["round", "rank", "url"]]
     )
     assert m_full["urls_fetched"] == m_a["urls_fetched"] + m_b["urls_fetched"]
     # extracted pages: union of rounds matches too
@@ -614,7 +558,6 @@ def test_crawl_on_lance_backend(store_and_inputs, monkeypatch, backend):
         num_politeness_shards=2,
         doc_store_partitions=8,
         max_rounds=40,
-        driver_threshold=0,  # force the bucketed (on-storage) frontier
     )
     metrics, out = _run(store, ref, seeds, cfg, "lance_backend")
     sim = simulate_crawl(
@@ -652,7 +595,7 @@ def test_crawl_wallclock_politeness_smoke(store_and_inputs):
 
 def test_crawl_edge_cases(store_and_inputs):
     """Degenerate configs terminate cleanly: depth 0 fetches only the
-    seeds; an empty seed list fetches nothing; both scheduling paths."""
+    seeds; an empty seed list fetches nothing."""
     store, ref, docs_local, idx, seeds = store_and_inputs
     import pyarrow as pa
 
@@ -662,54 +605,15 @@ def test_crawl_edge_cases(store_and_inputs):
         doc_store_partitions=8,
         max_rounds=10,
     )
-    for thr in (100_000, 0):
-        m, out = _run(
-            store, ref, seeds,
-            CrawlConfig(max_depth=0, driver_threshold=thr, **kw),
-            f"depth0_{thr}",
-        )
-        assert m["urls_fetched"] == seeds.num_rows  # seeds only, 1 round
-        assert len(m["rounds"]) == 1
+    m, out = _run(store, ref, seeds, CrawlConfig(max_depth=0, **kw), "depth0")
+    assert m["urls_fetched"] == seeds.num_rows  # seeds only, 1 round
+    assert len(m["rounds"]) == 1
 
     empty = pa.table(
         {"url": pa.array([], pa.string()), "priority": pa.array([], pa.float64())}
     )
     m, _ = _run(store, ref, empty, CrawlConfig(max_depth=1, **kw), "noseeds")
     assert m["urls_fetched"] == 0 and m["rounds"] == []
-
-
-def test_crawl_regime_transitions_match_simulator(store_and_inputs):
-    """driver -> bucketed -> driver transitions mid-crawl: with
-    threshold 100 the frontier (73 -> 149 -> 106 -> 69 -> 11 -> 4 rows)
-    spills to the bucketed dir at round 1 and loads back to the driver
-    at round 3 — ordering parity must hold across both transitions and
-    consumed frontier dirs must be cleaned up."""
-    store, ref, docs_local, idx, seeds = store_and_inputs
-    cfg = CrawlConfig(
-        max_depth=1,
-        round_budget=40,
-        capacity=5,
-        refill=3,
-        num_bloom_shards=2,
-        num_politeness_shards=2,
-        doc_store_partitions=8,
-        max_rounds=40,
-        driver_threshold=100,
-    )
-    metrics, out = _run(store, ref, seeds, cfg, "transition")
-    scheds = [r["scheduling"] for r in metrics["rounds"]]
-    assert "driver" in scheds and "bucketed" in scheds
-    assert scheds[0] == "driver" and scheds[-1] == "driver"
-    sim = simulate_crawl(
-        docs_local,
-        list(zip(seeds["url"].to_pylist(), seeds["priority"].to_pylist())),
-        idx["title_to_eid"],
-        cfg,
-    )
-    log = _read_fetch_log(out)
-    assert list(zip(log["round"], log["rank"], log["url"])) == sim["fetch_log"]
-    assert set(log["url"]) == sim["seen"]
-    assert glob.glob(f"{out}/frontier/round=*") == []  # all consumed+cleaned
 
 
 def test_politeness_admit_replay_compact():
@@ -770,7 +674,6 @@ def test_checkpoint_frontier_dir_relative_and_validated(tmp_path):
     save_checkpoint(
         ckpt,
         2,
-        None,
         [{}],
         [{}],
         frontier_dir=str(fdir),
@@ -791,6 +694,15 @@ def test_checkpoint_frontier_dir_relative_and_validated(tmp_path):
     # dangling reference (consumed frontier dir) fails loudly
     with _pytest.raises(FileNotFoundError):
         load_checkpoint(ckpt, out_dir=str(tmp_path / "nowhere"))
+
+    # a manifest without a frontier_dir cannot be resumed: it fails
+    # loudly instead of starting from an empty frontier
+    bare = tmp_path / "bare" / "round=0"
+    bare.mkdir(parents=True)
+    with open(bare / "manifest.json", "w") as fh:
+        json.dump({"round": 0, "frontier_rows": 5}, fh)
+    with _pytest.raises(ValueError, match="no frontier_dir"):
+        load_checkpoint(str(tmp_path / "bare"), out_dir=str(moved))
 
 
 def test_connected_components_nonconvergence_raises(ray_session):
@@ -855,7 +767,6 @@ def test_resume_after_completed_bucketed_crawl_is_noop(store_and_inputs, tmp_pat
         num_politeness_shards=2,
         doc_store_partitions=8,
         max_rounds=40,
-        driver_threshold=0,
     )
     out = str(tmp_path / "out")
     ckpt = str(tmp_path / "ckpt")

@@ -51,8 +51,10 @@ def main() -> int:
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.001"
     only = set(sys.argv[2:])
 
+    # declare the machine's own CPUs: more logical CPUs than cores
+    # only makes Ray start more worker processes than can run
     ray.init(
-        address="local", num_cpus=8, include_dashboard=False,
+        address="local", num_cpus=os.cpu_count(), include_dashboard=False,
         ignore_reinit_error=True, logging_level="ERROR",
     )
     from ray.data import DataContext
