@@ -322,6 +322,55 @@ def test_crawl_bucketed_resume_equivalence(store_and_inputs):
     assert n_full == n_part
 
 
+def test_crawl_resume_equivalence(store_and_inputs):
+    """Kill later in the crawl (after round 1, max_rounds=2), then resume:
+    the checkpoint carries a frontier that already holds links discovered
+    by fetched pages, and the resumed crawl still reproduces the
+    uninterrupted fetch log and page rows."""
+    store, ref, docs_local, idx, seeds = store_and_inputs
+    kw = dict(
+        max_depth=1,
+        round_budget=30,
+        capacity=4,
+        refill=2,
+        num_bloom_shards=2,
+        num_politeness_shards=2,
+        doc_store_partitions=8,
+    )
+    # uninterrupted run
+    m_full, out_full = _run(
+        store, ref, seeds, CrawlConfig(max_rounds=40, **kw), "full", ckpt=True
+    )
+    # interrupted after round 1 (max_rounds=2), then resumed
+    m_a, out_part = _run(
+        store, ref, seeds, CrawlConfig(max_rounds=2, **kw), "part", ckpt=True
+    )
+    m_b, _ = _run(
+        store,
+        ref,
+        seeds,
+        CrawlConfig(max_rounds=40, **kw),
+        "part",
+        ckpt=True,
+        resume=True,
+    )
+    assert m_b["urls_fetched"] > 0
+    full_log = _read_fetch_log(out_full)
+    part_log = _read_fetch_log(out_part)
+    pd.testing.assert_frame_equal(
+        full_log[["round", "rank", "url"]], part_log[["round", "rank", "url"]]
+    )
+    assert m_full["urls_fetched"] == m_a["urls_fetched"] + m_b["urls_fetched"]
+    # extracted pages: union of rounds matches too
+    n_full = pads.dataset(
+        out_full, format="parquet", partitioning="hive", ignore_prefixes=["fetch_log", "_", ".", "frontier"]
+    ).count_rows()
+    n_part = pads.dataset(
+        out_part, format="parquet", partitioning="hive", ignore_prefixes=["fetch_log", "_", ".", "frontier"]
+    ).count_rows()
+    assert n_full == n_part
+
+
 def test_doc_store_lookup(store_and_inputs):
     store, ref, docs_local, idx, seeds = store_and_inputs
     reader = DocStoreReader(store, 8)
