@@ -399,6 +399,7 @@ def build_contexts(
         zero_copy_batch=True,
     ).map_batches(prefilter, batch_format="pyarrow", zero_copy_batch=True)
 
+    # still map_groups: moving Stage 2 onto exchange.by_key is ROADMAP direction 5
     return (
         windows.union(pattern_ds)
         .groupby("entity_id")

@@ -26,7 +26,7 @@ import ray.data
 
 from ..functions.hashing import stable_hash64
 from ..functions.text import TOKEN_PATTERN, clean_up_text, sql_window
-from ..stages import dedup, media, packing, relational, similarity, stats, textstats, windows
+from ..stages import dedup, exchange, media, packing, relational, similarity, stats, textstats, windows
 from ..sources import docs as docsrc
 
 # ---------------------------------------------------------------------------
@@ -153,10 +153,9 @@ GROUP BY p_brand
 
 
 def q_revenue_by_nation(sf_dir: str):
-    """The shuffle join (J2-class): orders ⋈ customer via the native
-    hash-partitioned join (the explicit bucketed pattern lives in
-    relational.hash_join_bucketed, unit-tested), then broadcast
-    nation, then aggregate.
+    """The shuffle join (J2-class): orders ⋈ customer via
+    ``exchange.join`` (one sort on the custkey, an Arrow hash join per
+    partition), then broadcast nation, then aggregate.
 
     Shuffle discipline: per-batch combiners on BOTH sides of the
     shuffles (per-custkey partials before the join, per-nation
@@ -186,9 +185,7 @@ def q_revenue_by_nation(sf_dir: str):
     # ~one row per (customer, batch) instead of one per order
     per_cust = orders.map_batches(partial, batch_format="pyarrow")
     customer = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
-    joined = relational.hash_join(
-        per_cust, customer, on="o_custkey", right_on="c_custkey"
-    )
+    joined = exchange.join(per_cust, customer, on="o_custkey", right_on="c_custkey")
     nation = pq.read_table(f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name"])
     with_nation = relational.broadcast_inner_join(
         joined, nation, on="c_nationkey", right_on="n_nationkey"
@@ -1676,35 +1673,14 @@ def q_minhash_neardup(sf_dir: str):
 def q_minhash_neardup_md5(sf_dir: str):
     """END-TO-END near-dup with md5-twinned hashing, oracle-checked:
     banding (minhash_bands_md5) -> same-bucket candidate pairs
-    (groupby band, within-group pairs, distinct) -> TRUE n-gram
+    (dedup.band_pairs: within-bucket pairs, distinct) -> TRUE n-gram
     Jaccard verify (distributed joins + per-batch scoring).  Extends
     the q_minhash_bands twin through the whole pipeline so candidate
     generation + verification are hash-verified against SQL, not just
     the signatures (VERDICT r2 next-round #7)."""
-    import pandas as _pd
-
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    bands = ds.map_batches(dedup.minhash_bands_md5, batch_format="pyarrow")
-
-    def pairs_of(g: _pd.DataFrame) -> _pd.DataFrame:
-        ids = sorted(g["doc_id"])
-        rows = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :]]
-        if not rows:
-            return _pd.DataFrame({"a": _pd.Series(dtype="int64"), "b": _pd.Series(dtype="int64")})
-        return _pd.DataFrame(rows, columns=["a", "b"])
-
-    from ray.data.aggregate import Count
-
-    cand = (
-        bands.groupby(["band_id", "band_hash"])
-        .map_groups(pairs_of, batch_format="pandas")
-        # distinct pairs via ONE vectorized hash aggregate — never a
-        # per-pair Python group call
-        .groupby(["a", "b"])
-        .aggregate(Count(alias_name="__n"))
-        .drop_columns(["__n"])
-    )
-    return dedup.verify_jaccard_pairs(cand, ds, threshold=0.5)
+    pairs = dedup.band_pairs(dedup.md5_band_rows(ds))
+    return dedup.verify_jaccard_pairs(pairs, ds, threshold=0.5)
 
 
 SQL_MINHASH_NEARDUP_MD5 = """
@@ -1969,25 +1945,8 @@ def _dedup_clusters_ds(sf_dir: str) -> ray.data.Dataset:
     node; singletons label themselves).  Shared by q_dedup_clusters
     and q_dedup_keep_best."""
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    bands = ds.map_batches(dedup.minhash_bands_md5, batch_format="pyarrow")
-
-    def to_key(t: pa.Table) -> pa.Table:
-        keys = [int(h[:16], 16) - (1 << 63) for h in t["band_hash"].to_pylist()]
-        return pa.table(
-            {"doc_id": t["doc_id"], "band_key": pa.array(keys, pa.int64())}
-        )
-
-    band_rows = bands.map_batches(to_key, batch_format="pyarrow")
-    with dedup._hash_shuffle(band_rows):
-        blocks = (
-            band_rows.repartition(8, keys=["band_key"])
-            .map_batches(dedup._block_pairs, batch_format="pyarrow", batch_size=None)
-            .materialize()
-        )
-    tbl = pa.concat_tables(ray.get(blocks.to_arrow_refs()), promote_options="default")
-    if tbl.num_rows:
-        tbl = tbl.group_by(["a", "b"]).aggregate([]).select(["a", "b"])
-    pairs = ray.data.from_arrow(tbl)
+    # materialized: connected_components counts the pairs, then reads them
+    pairs = dedup.band_pairs(dedup.md5_band_rows(ds)).materialize()
     out = dedup.connected_components(
         pairs, _read(sf_dir, "documents", ["doc_id"])
     )
@@ -2013,8 +1972,8 @@ def q_dedup_keep_best(sf_dir: str):
     """Canonical-document selection — the training-data dedup
     endgame: per near-dup cluster keep ONE document, the argmax by
     (n_words desc, doc_id asc).  Clusters from _dedup_clusters_ds,
-    word counts joined in with the native hash join (both sides
-    doc_id-keyed), then one component-keyed exchange whose groups are
+    word counts joined in with ``exchange.join`` (both sides
+    doc_id-keyed), then one component-keyed ``by_key`` whose groups are
     cluster-sized, never corpus-sized."""
     clusters = _dedup_clusters_ds(sf_dir)
 
@@ -2033,33 +1992,27 @@ def q_dedup_keep_best(sf_dir: str):
     nwords = _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
         count_words, batch_format="pyarrow"
     )
-    joined = relational.hash_join(clusters, nwords, on="doc_id")
+    joined = exchange.join(clusters, nwords, on="doc_id")
 
-    def per_component(g: pd.DataFrame) -> pd.DataFrame:
-        gg = g.sort_values(["n_words", "doc_id"], ascending=[False, True])
-        return pd.DataFrame(
+    def keep_best(t: pa.Table) -> pa.Table:
+        t = t.take(
+            pc.sort_indices(
+                t,
+                sort_keys=[("component", "ascending"), ("n_words", "descending"),
+                           ("doc_id", "ascending")],
+            )
+        )
+        starts = exchange.run_starts(t["component"])
+        return pa.table(
             {
-                "component": [int(gg["component"].iloc[0])],
-                "kept_doc_id": [int(gg["doc_id"].iloc[0])],
-                "kept_n_words": [int(gg["n_words"].iloc[0])],
-                "n_members": [len(gg)],
+                "component": t["component"].take(starts),
+                "kept_doc_id": t["doc_id"].take(starts),
+                "kept_n_words": t["n_words"].take(starts),
+                "n_members": np.diff(np.append(starts, t.num_rows)),
             }
         )
 
-    out = joined.groupby("component").map_groups(
-        per_component, batch_format="pandas"
-    )
-    return out.map_batches(
-        lambda t: pa.table(
-            {
-                "component": pc.cast(t["component"], pa.int64()),
-                "kept_doc_id": pc.cast(t["kept_doc_id"], pa.int64()),
-                "kept_n_words": pc.cast(t["kept_n_words"], pa.int64()),
-                "n_members": pc.cast(t["n_members"], pa.int64()),
-            }
-        ),
-        batch_format="pyarrow",
-    )
+    return exchange.by_key(joined, "component", keep_best)
 
 
 _SQL_CLUSTER_CTES = """
@@ -2391,9 +2344,9 @@ FROM documents
 
 
 def q_anti_join(sf_dir: str):
-    """Customers with no order above 400k, via the explicit
-    partitioned ANTI join (neither side broadcast — the right side
-    ships keys only, so this is the shape that survives two
+    """Customers with no order above 400k, via the partitioned ANTI
+    join (``exchange.join(how='anti')``: neither side broadcast — the
+    right side ships keys only, so this is the shape that survives two
     corpus-sized inputs; the price filter is pushed before the
     exchange)."""
     customer = _read(sf_dir, "customer", ["c_custkey", "c_name"])
@@ -2405,8 +2358,8 @@ def q_anti_join(sf_dir: str):
         ).select(["o_custkey"])
 
     big_orders = orders.map_batches(big, batch_format="pyarrow")
-    return relational.anti_join_bucketed(
-        customer, big_orders, on="c_custkey", right_on="o_custkey"
+    return exchange.join(
+        customer, big_orders, on="c_custkey", right_on="o_custkey", how="anti"
     )
 
 
@@ -2857,7 +2810,7 @@ def q_pagerank(sf_dir: str):
 
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_suppkey"])
-    joined = relational.hash_join(orders, li, on="o_orderkey", right_on="l_orderkey")
+    joined = exchange.join(orders, li, on="o_orderkey", right_on="l_orderkey")
 
     def to_edge(t: pa.Table) -> pa.Table:
         return pa.table(
@@ -3082,11 +3035,9 @@ def q_rollup_revenue(sf_dir: str):
         dict(zip(nat["n_nationkey"].to_pylist(), nat["n_name"].to_pylist()))
     )
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-    # customer is corpus-scale: shuffle-join it (native hash join);
-    # only the genuinely tiny nation map is broadcast
-    joined = relational.hash_join(
-        orders, cust, on="o_custkey", right_on="c_custkey"
-    )
+    # customer is corpus-scale: shuffle-join it; only the genuinely
+    # tiny nation map is broadcast
+    joined = exchange.join(orders, cust, on="o_custkey", right_on="c_custkey")
 
     def attach(t: pa.Table) -> pa.Table:
         nmap = ray.get(nmap_ref)
@@ -3519,7 +3470,7 @@ GROUP BY p.c_custkey
 
 
 def q_left_join_custorders(sf_dir: str):
-    """LEFT OUTER join via the explicit bucketed exchange: every
+    """LEFT OUTER join via ``exchange.join(how='left')``: every
     customer with its 'P'-status order revenue, ZERO (not absent) for
     customers with no such orders — the keep-with-nulls complement of
     the ANTI join.  The right side is pre-aggregated to one row per
@@ -3555,9 +3506,7 @@ def q_left_join_custorders(sf_dir: str):
         .aggregate(Sum("pc_", alias_name="s"), Sum("pn_", alias_name="n"))
     )
     cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
-    joined = relational.hash_join_bucketed(
-        cust, per_cust, on="c_custkey", right_on="o_custkey", how="left"
-    )
+    joined = exchange.join(cust, per_cust, on="c_custkey", right_on="o_custkey", how="left")
 
     def finish(g: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
@@ -3860,8 +3809,7 @@ def q_bfs_customers(sf_dir: str):
 
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_suppkey"])
-    joined = relational.hash_join(orders, li, on="o_orderkey",
-                                  right_on="l_orderkey")
+    joined = exchange.join(orders, li, on="o_orderkey", right_on="l_orderkey")
 
     def to_edges_both(t: pa.Table) -> pa.Table:
         c = pc.cast(t["o_custkey"], pa.int64()).to_numpy(
@@ -4531,7 +4479,7 @@ def q_incremental_dedup(sf_dir: str):
     ).take_all():
         bits[int(r["bit"])] = True
 
-    # exact membership = LEFT bucketed join of new (h, doc_id) against
+    # exact membership = LEFT join of new (h, doc_id) against
     # the old store's DISTINCT content hashes — md5 of the text moves
     # through the exchange, never the text
     def content_key(t: pa.Table) -> pa.Table:
@@ -4566,7 +4514,7 @@ def q_incremental_dedup(sf_dir: str):
         .groupby("h")
         .aggregate(Max("dup_flag", alias_name="dup_flag"))
     )
-    joined = relational.hash_join_bucketed(probed, old_h, on="h", how="left")
+    joined = exchange.join(probed, old_h, on="h", how="left")
 
     def finish(t: pa.Table) -> pa.Table:
         dup = pc.fill_null(pc.cast(t["dup_flag"], pa.int64()), 0)

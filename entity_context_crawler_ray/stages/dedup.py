@@ -4,15 +4,15 @@ n-gram Jaccard, embedding-cosine near-dup.
 The reference only needs exact dedup (pages PK, mentions UNIQUE —
 SURVEY.md §2.7); a 100 TB training-data pipeline needs near-dup too.
 Shuffle discipline: every operator pre-aggregates inside
-``map_batches`` (hash columns, signatures, band keys) before its one
-``groupby`` — the shuffle moves fixed-width keys, never document text.
+``map_batches`` (hash columns, signatures, band keys) before its keyed
+exchange (``exchange.by_key`` or a grouped aggregate) — the shuffle
+moves fixed-width keys, never document text.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
-from contextlib import contextmanager
 from typing import Dict, List
 
 import numpy as np
@@ -28,6 +28,7 @@ from ..functions.hashing import (
     stable_hash64,
     stable_hash64_array,
 )
+from .exchange import by_key, join, run_starts, seg_ids
 
 _WORD_RE = re.compile(r"[A-Za-z0-9_]+")
 _MASK64_U64 = np.uint64((1 << 64) - 1)
@@ -73,14 +74,11 @@ def exact_dedup_first(
             "__h", pa.array([_text_hash(x) for x in t[text_col].to_pylist()])
         )
 
-    return (
-        ds.map_batches(add_hash, batch_format="pyarrow")
-        .groupby("__h")
-        .map_groups(
-            lambda g: g.sort_values(order_col).head(1), batch_format="pandas"
-        )
-        .drop_columns(["__h"])
-    )
+    def first(t: pa.Table) -> pa.Table:
+        t = t.take(pc.sort_indices(t, sort_keys=[("__h", "ascending"), (order_col, "ascending")]))
+        return t.take(run_starts(t["__h"])).drop_columns(["__h"])
+
+    return by_key(ds.map_batches(add_hash, batch_format="pyarrow"), "__h", first)
 
 
 # --- shingles + Jaccard ---------------------------------------------------
@@ -249,83 +247,44 @@ class MinHashLSH:
         )
 
 
-@contextmanager
-def _hash_shuffle(ds: ray.data.Dataset):
-    """Scope the HASH_SHUFFLE strategy around plan build + execution of
-    the key-based repartitions (Ray's default sort shuffle doesn't
-    support ``repartition(keys=...)``).  A Dataset executes under the
-    DataContext captured in its LINEAGE — shared with the input
-    dataset — so the flip happens on ``ds.context`` and is restored on
-    exit (global hash shuffle is avoided deliberately: its aggregator
-    pool can starve tiny CPU budgets — observed as a plain groupby
-    deadlocking in a 4-CPU session).  Every dataset built under this
-    scope must be materialized INSIDE it."""
-    from ray.data.context import ShuffleStrategy
-
-    ctx = ds.context
-    prev = ctx.shuffle_strategy
-    ctx.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
-    try:
-        yield
-    finally:
-        ctx.shuffle_strategy = prev
-
-
-def _reset_shuffle(ds: ray.data.Dataset) -> ray.data.Dataset:
-    """A dataset MATERIALIZED inside a ``_hash_shuffle`` scope captures
-    the flipped strategy in its own context copy, so a downstream
-    groupby/sort would silently run on the hash-shuffle aggregator
-    pool (measured on the 32-CPU box: a 235k-row groupby went 1.6 s ->
-    12.4 s with a 164-worker pool explosion).  Restore the ambient
-    strategy on the materialized dataset before handing it on."""
-    from ray.data.context import DataContext
-
-    ds.context.shuffle_strategy = DataContext.get_current().shuffle_strategy
-    return ds
-
-
-def _default_partitions(divisor: int, floor: int) -> int:
-    """Hash-exchange partition count ∝ cluster CPUs.  Each partition
-    costs an aggregator actor, so small clusters want few (measured on
-    this 32-CPU box: 8 partitions beat 32 by ~1.7× on the LSH
-    exchange); a 256-node cluster gets hundreds."""
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:  # noqa: BLE001 — cluster not up yet
-        cpus = 8
-    return max(floor, cpus // divisor)
-
-
-def _empty_pairs(dtype: pa.DataType) -> pa.Table:
-    return pa.table({"a": pa.array([], dtype), "b": pa.array([], dtype)})
-
-
 def _block_pairs(t: pa.Table) -> pa.Table:
-    """Within one hash-partitioned block (complete band_key groups):
-    sort by (band_key, doc_id), find runs vectorized, emit all ordered
-    pairs per run."""
-    dtype = t["doc_id"].type
-    if t.num_rows < 2:
-        return _empty_pairs(dtype)
-    idx = pc.sort_indices(
-        t, sort_keys=[("band_key", "ascending"), ("doc_id", "ascending")]
-    )
-    t = t.take(idx)
-    keys = t["band_key"].to_numpy()
-    ids = t["doc_id"].to_pylist()
-    bounds = np.flatnonzero(np.diff(keys)) + 1
-    a_out: List = []
-    b_out: List = []
-    for s, e in zip(np.r_[0, bounds], np.r_[bounds, len(keys)]):
-        if e - s > 1:
-            grp = ids[s:e]
-            for i in range(len(grp)):
-                for j in range(i + 1, len(grp)):
-                    a_out.append(grp[i])
-                    b_out.append(grp[j])
-    if not a_out:
-        return _empty_pairs(dtype)
-    return pa.table({"a": pa.array(a_out, dtype), "b": pa.array(b_out, dtype)})
+    """Within one partition of complete band_key groups: every ordered
+    pair (a < b by position after sorting on (band_key, doc_id)) of
+    docs sharing a band_key.  Row i pairs with the rest of its run,
+    so the pairs come from one repeat + one segmented arange."""
+    t = t.take(pc.sort_indices(t, sort_keys=[("band_key", "ascending"), ("doc_id", "ascending")]))
+    starts = run_starts(t["band_key"])
+    ends = np.append(starts[1:], t.num_rows)[seg_ids(starts, t.num_rows)]
+    fan = ends - np.arange(t.num_rows) - 1  # later rows in the same run
+    a = np.repeat(np.arange(t.num_rows), fan)
+    first = np.cumsum(fan) - fan
+    b = a + 1 + np.arange(len(a)) - np.repeat(first, fan)
+    ids = t["doc_id"]
+    return pa.table({"a": ids.take(a), "b": ids.take(b)})
+
+
+def _distinct_pairs(t: pa.Table) -> pa.Table:
+    return t.take(run_starts(t["a"], t["b"])).select(["a", "b"])
+
+
+def band_pairs(band_rows: ray.data.Dataset) -> ray.data.Dataset:
+    """Distinct candidate pairs (a, b) of docs sharing a ``band_key``,
+    from (doc_id, band_key) rows: one ``by_key`` on band_key emits the
+    within-bucket pairs, a second on (a, b) dedups them.  Lazy."""
+    return by_key(by_key(band_rows, "band_key", _block_pairs), ["a", "b"], _distinct_pairs)
+
+
+def md5_band_rows(documents: ray.data.Dataset) -> ray.data.Dataset:
+    """(doc_id, band_key) rows of ``minhash_bands_md5``: the top 64
+    bits of each band hash as a signed key (the hash message starts
+    with the band id, so bands never share a key)."""
+
+    def keyed(t: pa.Table) -> pa.Table:
+        bands = minhash_bands_md5(t)
+        keys = [int(h[:16], 16) - (1 << 63) for h in bands["band_hash"].to_pylist()]
+        return pa.table({"doc_id": bands["doc_id"], "band_key": pa.array(keys, pa.int64())})
+
+    return documents.map_batches(keyed, batch_format="pyarrow")
 
 
 def minhash_candidates(
@@ -333,51 +292,14 @@ def minhash_candidates(
     num_perm: int = 64,
     bands: int = 16,
     shingle_n: int = 3,
-    pair_dedup: str = "auto",
-    num_partitions: int | None = None,
-    driver_pair_threshold: int = 2_000_000,
 ) -> ray.data.Dataset:
     """Candidate near-dup pairs via LSH banding: shingle→minhash→band
-    rows (map_batches) → HASH repartition on band_key (one fixed-width
-    exchange, no distributed sort) → vectorized within-block pair
-    generation → dedup on (a, b).
-
-    ``pair_dedup``: 'auto' (default) dedups on the driver while the
-    materialized pair count is under ``driver_pair_threshold`` and
-    switches to the distributed path above it; 'driver'/'distributed'
-    force a path.  The distributed dedup is itself a hash repartition
-    on (a, b) + per-block Arrow group_by — same (a, b) always lands in
-    the same block, so per-block dedup is global."""
-    if num_partitions is None:
-        num_partitions = _default_partitions(4, 2)
-    band_rows = documents.map_batches(
-        MinHashLSH(num_perm, bands, shingle_n), batch_format="pyarrow"
+    rows (map_batches), then ``band_pairs``: one band_key-keyed
+    exchange with vectorized within-bucket pair generation, and one
+    (a, b)-keyed exchange that dedups the pairs.  Lazy."""
+    return band_pairs(
+        documents.map_batches(MinHashLSH(num_perm, bands, shingle_n), batch_format="pyarrow")
     )
-    with _hash_shuffle(band_rows):
-        pairs = (
-            band_rows.repartition(num_partitions, keys=["band_key"])
-            .map_batches(_block_pairs, batch_format="pyarrow", batch_size=None)
-            .materialize()
-        )
-        n_pairs = pairs.count()
-        if pair_dedup == "driver" or (
-            pair_dedup == "auto" and n_pairs <= driver_pair_threshold
-        ):
-            tbl = pa.concat_tables(
-                ray.get(pairs.to_arrow_refs()), promote_options="default"
-            )
-            if tbl.num_rows:
-                tbl = tbl.group_by(["a", "b"]).aggregate([]).select(["a", "b"])
-            return ray.data.from_arrow(tbl)
-        return (
-            pairs.repartition(num_partitions, keys=["a", "b"])
-            .map_batches(
-                lambda t: t.group_by(["a", "b"]).aggregate([]).select(["a", "b"]),
-                batch_format="pyarrow",
-                batch_size=None,
-            )
-            .materialize()
-        )
 
 
 def minhash_bands_md5(
@@ -478,7 +400,6 @@ def verify_jaccard_pairs(
     documents: ray.data.Dataset,
     threshold: float,
     shingle_n: int = 3,
-    num_partitions: int | None = None,
     broadcast_threshold: int = 10_000,
 ) -> ray.data.Dataset:
     """Verify candidate pairs by true Jaccard — fully distributed.
@@ -489,21 +410,21 @@ def verify_jaccard_pairs(
     2. Prune documents map-side through the broadcast bloom (~2×pairs
        docs survive, plus a negligible false-positive tail that the
        joins drop).
-    3. Two hash joins attach both texts to each pair.
+    3. Two ``exchange.join`` calls attach both texts to each pair.
     4. Per-batch shingling + Jaccard, filter ≥ threshold.
 
     When the candidate count is ≤ ``broadcast_threshold``, step 3 is
     replaced by a broadcast of the bloom-pruned texts (≈ 2×pairs rows,
     bounded by the threshold) consumed by a single map over the pair
-    rows: each native hash join costs ~2 s in aggregator-actor fixed
-    overhead regardless of size, which dominates end-to-end wall at
-    small candidate counts.  Above the threshold the join path runs —
-    the same small-side-bounded regime split as ``pair_dedup='auto'``.
+    rows.  Two joins are two sorts whose fixed cost dominates at small
+    candidate counts: on 4 CPUs, ``q_minhash_neardup`` at sf0.01 took
+    0.89–1.02 s with the broadcast and 2.06–2.21 s forced onto the
+    joins (medians of 5 runs, two sets).  Above the threshold the join
+    path runs.
     """
     from ..state.bloom import BloomShard
 
-    if num_partitions is None:
-        num_partitions = _default_partitions(8, 2)
+    pairs = pairs.materialize()  # counted, bloomed and joined below
     a_type = None
     sch = pairs.schema()
     if sch is not None and "a" in sch.names:
@@ -557,14 +478,10 @@ def verify_jaccard_pairs(
         # rows (+ negligible fp tail), so ship ONE text lookup through
         # the object store and verify with a single vectorized map —
         # no join exchange, no aggregator actors
-        docs_tbl = pa.concat_tables(
-            ray.get(docs.to_arrow_refs()), promote_options="default"
-        )
-        lookup_ref = ray.put(
-            dict(
-                zip(docs_tbl["doc_id"].to_pylist(), docs_tbl["text"].to_pylist())
-            )
-        )
+        lookup = {}
+        for part in docs.iter_batches(batch_size=None, batch_format="pyarrow"):
+            lookup.update(zip(part["doc_id"].to_pylist(), part["text"].to_pylist()))
+        lookup_ref = ray.put(lookup)
 
         def score_broadcast(t: pa.Table) -> pa.Table:
             if t.num_rows == 0:
@@ -593,17 +510,13 @@ def verify_jaccard_pairs(
 
         return pairs.map_batches(score_broadcast, batch_format="pyarrow")
 
-    with_a = pairs.join(
-        docs, "inner", num_partitions, on=("a",), right_on=("doc_id",)
-    ).map_batches(
+    with_a = join(pairs, docs, on="a", right_on="doc_id").map_batches(
         lambda t: pa.table(
             {"a": t["a"], "b": t["b"], "text_a": t["text"]}
         ),
         batch_format="pyarrow",
     )
-    joined = with_a.join(
-        docs, "inner", num_partitions, on=("b",), right_on=("doc_id",)
-    )
+    joined = join(with_a, docs, on="b", right_on="doc_id")
 
     def score(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
@@ -684,6 +597,8 @@ def embedding_neardup_lsh(
              "cosine": pd.Series(dtype="float64")}
         )
 
+    # map_groups, not by_key: the per-bucket quadratic cosine block
+    # costs far more than the per-group call
     return (
         embeddings.select_columns(["vec_id", "embedding"])
         .map_batches(assign, batch_format="pyarrow")
@@ -825,19 +740,8 @@ def connected_components(
     converged = False
     from ray.data.aggregate import Min
 
-    from .relational import hash_join_bucketed
-
     for _ in range(max_iters):
-        # bucketed co-group join (not the native Dataset.join: its hash
-        # aggregator can emit schema-less empty partitions on small or
-        # skewed inputs, failing the arrow join nondeterministically)
-        prop = (
-            hash_join_bucketed(both, labels, on="v", right_on="u", suffix="_r")
-            .select_columns(["u", "label"])
-            # normalize to arrow blocks: the bucketed join emits pandas
-            # blocks and union() requires homogeneous block types
-            .map_batches(lambda t: t, batch_format="pyarrow")
-        )
+        prop = join(both, labels, on="v", right_on="u").select_columns(["u", "label"])
         labels = (
             labels.union(prop).groupby("u").aggregate(Min("label", alias_name="label"))
         ).materialize()
@@ -852,11 +756,7 @@ def connected_components(
         # before deciding (a converged-on-the-last-iteration graph
         # must not raise); only a sum still decreasing after that
         # means a component's diameter exceeds the budget
-        prop = (
-            hash_join_bucketed(both, labels, on="v", right_on="u", suffix="_r")
-            .select_columns(["u", "label"])
-            .map_batches(lambda t: t, batch_format="pyarrow")
-        )
+        prop = join(both, labels, on="v", right_on="u").select_columns(["u", "label"])
         confirm = (
             labels.union(prop).groupby("u").aggregate(Min("label", alias_name="label"))
         ).materialize()
@@ -924,6 +824,8 @@ def semantic_dedup(
             }
         )
 
+    # map_groups, not by_key: the per-cluster quadratic cosine block
+    # costs far more than the per-group call
     return assigned.groupby("cluster").map_groups(
         cluster_dups, batch_format="pandas"
     )
@@ -1013,6 +915,8 @@ def fuzzy_pairs_lev1(
         ]
         return pd.DataFrame(rows, columns=["name_a", "name_b"])
 
+    # map_groups, not by_key: the per-variant quadratic pair fan-out
+    # costs far more than the per-group call
     cand = (
         strings.select_columns([col])
         .map_batches(variants, batch_format="pyarrow")
@@ -1144,11 +1048,10 @@ def span_dup_offsets(
         documents, n=n, id_col=id_col, text_col=text_col, hash_bits=hash_bits
     )
     key_cols = ["key_hi", "key_lo"] if hash_bits == 128 else ["key_hi"]
-    # hash-partition by gram key + ONE vectorized lexsort per
-    # partition — NOT groupby().map_groups(), whose per-group Python
-    # kernel call costs ~45 s on 270k tiny gram groups at sf0.1 where
-    # this shape takes ~2 s
-    num_partitions = _default_partitions(8, 2)
+    # by_key on the gram key + ONE vectorized lexsort per partition —
+    # NOT groupby().map_groups(), whose per-group Python kernel call
+    # costs ~45 s on 270k tiny gram groups at sf0.1 where this shape
+    # takes ~2 s
 
     def dups_part(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
@@ -1182,13 +1085,7 @@ def span_dup_offsets(
             }
         )
 
-    with _hash_shuffle(occ):
-        out = (
-            occ.repartition(num_partitions, keys=key_cols)
-            .map_batches(dups_part, batch_size=None, batch_format="pyarrow")
-            .materialize()
-        )
-    return _reset_shuffle(out)
+    return by_key(occ, key_cols, dups_part)
 
 
 def _merge_offsets(offs: np.ndarray, n: int) -> tuple:
@@ -1250,14 +1147,7 @@ def span_dedup_spans(
             }
         )
 
-    num_partitions = _default_partitions(8, 2)
-    with _hash_shuffle(dups):
-        out = (
-            dups.repartition(num_partitions, keys=[id_col])
-            .map_batches(merge_part, batch_size=None, batch_format="pyarrow")
-            .materialize()
-        )
-    return _reset_shuffle(out)
+    return by_key(dups, id_col, merge_part)
 
 
 def span_dedup_clean(
@@ -1276,7 +1166,7 @@ def span_dedup_clean(
     variant would track char offsets instead).
 
     One extra doc_id-keyed exchange carries the duplicate offsets to
-    the doc text (tagged union, same pattern as the bucketed joins) —
+    the doc text (tagged union, the same pattern as ``exchange.join``) —
     the text itself moves through exactly one exchange."""
     dups = span_dup_offsets(
         documents, n=n, id_col=id_col, text_col=text_col, hash_bits=hash_bits
@@ -1348,14 +1238,7 @@ def span_dedup_clean(
             }
         )
 
-    num_partitions = _default_partitions(8, 2)
-    with _hash_shuffle(tagged):
-        out = (
-            tagged.repartition(num_partitions, keys=[id_col])
-            .map_batches(clean_part, batch_size=None, batch_format="pyarrow")
-            .materialize()
-        )
-    return _reset_shuffle(out)
+    return by_key(tagged, id_col, clean_part)
 
 
 def span_novelty(
@@ -1409,14 +1292,7 @@ def span_novelty(
             }
         )
 
-    num_partitions = _default_partitions(8, 2)
-    with _hash_shuffle(occ):
-        marked = (
-            occ.repartition(num_partitions, keys=key_cols)
-            .map_batches(mark_part, batch_size=None, batch_format="pyarrow")
-            .materialize()
-        )
-    return _reset_shuffle(marked).groupby(id_col).aggregate(
+    return by_key(occ, key_cols, mark_part).groupby(id_col).aggregate(
         Count(alias_name="n_grams"), Sum("novel", alias_name="n_novel")
     )
 

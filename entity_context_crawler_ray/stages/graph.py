@@ -8,8 +8,8 @@ node's next rank is ``base + sum(incoming)``.  Per-edge floor makes
 every contribution independent of ordering, so the distributed sums
 are bit-identical to the unrolled SQL twin.
 
-Scale shape per iteration: ONE src-keyed hash join (ranks onto the
-materialized edge+out-degree table) and ONE dst-keyed groupby-sum —
+Scale shape per iteration: ONE src-keyed join (ranks onto the
+materialized edge+out-degree table) and ONE node-keyed groupby-sum —
 the textbook two-exchange PageRank step; the driver never sees a row.
 Iterations are a fixed small count (power iteration converges
 geometrically; rank ordering stabilizes in a handful of steps).
@@ -23,6 +23,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from .exchange import by_key, join, run_starts
+
 
 def pagerank_int(
     edges: ray.data.Dataset,
@@ -31,18 +33,12 @@ def pagerank_int(
     damp_den: int = 100,
     init: int = 1_000_000,
     base: int = 150_000,
-    num_partitions: int | None = None,
 ) -> ray.data.Dataset:
     """Integer PageRank over an (src, dst) edge Dataset (duplicate
     edges collapsed).  Returns (node, pr) for every node that appears
     as a source or target; dangling mass evaporates (no
     redistribution), matching the SQL twin exactly."""
     from ray.data.aggregate import Count, Sum
-
-    if num_partitions is None:
-        from .dedup import _default_partitions
-
-        num_partitions = _default_partitions(8, 2)
 
     def cast_edge(t: pa.Table) -> pa.Table:
         return pa.table(
@@ -52,21 +48,17 @@ def pagerank_int(
             }
         )
 
-    edges = edges.map_batches(cast_edge, batch_format="pyarrow")
-    dedup = edges.groupby(["src", "dst"]).aggregate(Count(alias_name="_c"))
-    dedup = dedup.select_columns(["src", "dst"])
+    def distinct_out(t: pa.Table) -> pa.Table:
+        # one src-keyed pass: distinct (src, dst) edges + out-degree
+        t = t.take(pc.sort_indices(t, sort_keys=[("src", "ascending"), ("dst", "ascending")]))
+        t = t.take(run_starts(t["src"], t["dst"]))
+        starts = run_starts(t["src"])
+        outd = np.diff(np.append(starts, t.num_rows))
+        return t.append_column("outd", pa.array(np.repeat(outd, outd)))
 
-    outd = (
-        dedup.groupby("src")
-        .aggregate(Count(alias_name="outd"))
-    )
-    # (src, dst, outd) is reused every iteration — materialize once so
-    # the join lineage doesn't recompute the dedup per step.
-    edges_w = dedup.join(
-        outd,
-        join_type="inner",
-        num_partitions=num_partitions,
-        on=("src",),
+    # (src, dst, outd) is reused every iteration — materialize once
+    edges_w = by_key(
+        edges.map_batches(cast_edge, batch_format="pyarrow"), "src", distinct_out
     ).materialize()
 
     def to_node(col: str):
@@ -76,12 +68,18 @@ def pagerank_int(
         return fn
 
     nodes = (
-        dedup.map_batches(to_node("src"), batch_format="pyarrow")
-        .union(dedup.map_batches(to_node("dst"), batch_format="pyarrow"))
+        edges_w.map_batches(to_node("src"), batch_format="pyarrow")
+        .union(edges_w.map_batches(to_node("dst"), batch_format="pyarrow"))
         .groupby("node")
         .aggregate(Count(alias_name="_n"))
         .select_columns(["node"])
         .materialize()
+    )
+    # a node with no incoming edge gets base + 0: every node adds a
+    # zero contribution to its own sum
+    zero = nodes.map_batches(
+        lambda t: pa.table({"node": t["node"], "c": np.zeros(t.num_rows, np.int64)}),
+        batch_format="pyarrow",
     )
 
     ranks = nodes.map_batches(
@@ -94,49 +92,30 @@ def pagerank_int(
         batch_format="pyarrow",
     )
 
+    def contrib(t: pa.Table) -> pa.Table:
+        c = pc.divide(
+            pc.multiply(pc.cast(t["pr"], pa.int64()), pa.scalar(damp_num)),
+            pc.multiply(pc.cast(t["outd"], pa.int64()), pa.scalar(damp_den)),
+        )  # arrow int/int divide truncates toward zero == floor (>=0)
+        return pa.table({"node": t["dst"], "c": pc.cast(c, pa.int64())})
+
+    def next_rank(t: pa.Table) -> pa.Table:
+        s = pc.cast(t["s"], pa.int64())
+        return pa.table(
+            {"node": t["node"], "pr": pc.cast(pc.add(s, pa.scalar(base)), pa.int64())}
+        )
+
     for _ in range(iterations):
-        joined = edges_w.join(
-            ranks,
-            join_type="inner",
-            num_partitions=num_partitions,
-            on=("src",),
-            right_on=("node",),
+        incoming = join(edges_w, ranks, on="src", right_on="node").map_batches(
+            contrib, batch_format="pyarrow"
         )
-
-        def contrib(t: pa.Table) -> pa.Table:
-            c = pc.divide(
-                pc.multiply(
-                    pc.cast(t["pr"], pa.int64()), pa.scalar(damp_num)
-                ),
-                pc.multiply(
-                    pc.cast(t["outd"], pa.int64()), pa.scalar(damp_den)
-                ),
-            )  # arrow int/int divide truncates toward zero == floor (>=0)
-            return pa.table({"dst": t["dst"], "c": pc.cast(c, pa.int64())})
-
-        incoming = (
-            joined.map_batches(contrib, batch_format="pyarrow")
-            .groupby("dst")
+        ranks = (
+            zero.union(incoming)
+            .groupby("node")
             .aggregate(Sum("c", alias_name="s"))
+            .map_batches(next_rank, batch_format="pyarrow")
+            .materialize()  # the next join reads its schema and rows
         )
-        merged = nodes.join(
-            incoming,
-            join_type="left_outer",
-            num_partitions=num_partitions,
-            on=("node",),
-            right_on=("dst",),
-        )
-
-        def next_rank(t: pa.Table) -> pa.Table:
-            s = pc.coalesce(pc.cast(t["s"], pa.int64()), pa.scalar(0))
-            return pa.table(
-                {
-                    "node": t["node"],
-                    "pr": pc.cast(pc.add(s, pa.scalar(base)), pa.int64()),
-                }
-            )
-
-        ranks = merged.map_batches(next_rank, batch_format="pyarrow")
 
     return ranks
 
@@ -158,15 +137,12 @@ def bfs_levels(
     shuffle in the hop at all; the only exchange is the dst-keyed
     groupby-min that folds new reaches into the distance table.
     Frontier broadcast is the classic distributed-BFS trade (a set of
-    node ids, not rows); ``max_frontier`` guards it and points at a
-    keyed-join variant for graphs whose frontier outgrows a
-    broadcast.  Exact integer distances make the result bit-identical
-    to an unrolled SQL twin regardless of partitioning.
-
-    (Deliberately NOT ``Dataset.join``: a filtered frontier
-    legitimately carries empty blocks, and Ray 2.49's hash-join
-    aggregator raises ``ArrowInvalid`` on empty right-side blocks —
-    observed in this sandbox.)"""
+    node ids, not rows): it saves the hop a shuffle.  ``max_frontier``
+    guards it; a graph whose frontier outgrows a broadcast would hop
+    with ``exchange.join`` of the frontier onto the edges instead (it
+    handles the empty blocks a filtered frontier carries).  Exact
+    integer distances make the result bit-identical to an unrolled SQL
+    twin regardless of partitioning."""
     from ray.data.aggregate import Count, Min
 
     def cast_edge(t: pa.Table) -> pa.Table:

@@ -1,6 +1,6 @@
 """Sequence packing for LLM training-data preparation: assign every
 document to a fixed-capacity token bin along a deterministic global
-order, using a DISTRIBUTED PREFIX SCAN — no global sort materializes
+order, using a DISTRIBUTED PREFIX SCAN — no sort on the rank itself
 and no stage ever holds more than one rank-partition of rows.
 
 The pattern (two-pass exclusive prefix sum) is the classic scan
@@ -10,7 +10,8 @@ reduce each partition to one (partition, sum) row, cumsum those ≤
 ``num_parts`` rows on the driver into per-partition exclusive
 offsets, then finish each partition independently with its offset.
 At 100 TB the only driver-side state is ``num_parts`` scalars and the
-only exchange is the partition-keyed groupby.
+only exchange is the partition-keyed ``by_key`` (a sort on the
+partition id).
 """
 
 from __future__ import annotations
@@ -18,11 +19,12 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 import ray.data
 
+from .exchange import by_key, run_starts, seg_cumsum, seg_ids
 from .stats import _sample_u64_vec
 
 
@@ -75,35 +77,28 @@ def pack_sequences(
         .groupby("part")
         .aggregate(Sum("n_tokens", alias_name="part_total"))
         .to_pandas()
-        .sort_values("part")
     )
-    offsets = dict(
-        zip(
-            part_sums["part"].tolist(),
-            (
-                part_sums["part_total"].cumsum() - part_sums["part_total"]
-            ).astype("int64").tolist(),
-        )
-    )
-    offsets_ref = ray.put(offsets)
+    totals = np.zeros(num_parts, dtype=np.int64)
+    totals[part_sums["part"].to_numpy()] = part_sums["part_total"].to_numpy()
+    offsets_ref = ray.put(np.cumsum(totals) - totals)
 
     # Pass 2: each partition finishes independently with its offset.
-    def per_part(g: pd.DataFrame) -> pd.DataFrame:
-        off = ray.get(offsets_ref)[int(g["part"].iloc[0])]
-        rk = g["rk"].to_numpy()
-        ids = g[id_col].to_numpy()
-        order = np.lexsort((ids, rk))
-        n = g["n_tokens"].to_numpy()[order].astype(np.int64)
-        prev = off + np.cumsum(n) - n
-        return pd.DataFrame(
+    def finish(t: pa.Table) -> pa.Table:
+        starts = run_starts(t["part"])
+        seg = seg_ids(starts, t.num_rows)
+        order = np.lexsort((t[id_col].to_numpy(), t["rk"].to_numpy(), seg))
+        n = t["n_tokens"].to_numpy()[order]
+        part = t["part"].to_numpy()[order]
+        prev = ray.get(offsets_ref)[part] + seg_cumsum(n, starts) - n
+        return pa.table(
             {
-                id_col: ids[order],
+                id_col: t[id_col].take(order),
                 "n_tokens": n,
                 "bin": prev // capacity,
             }
         )
 
-    return ranked.groupby("part").map_groups(per_part, batch_format="pandas")
+    return by_key(ranked, "part", finish)
 
 
 # --- Chunking (the step BEFORE packing in a training-data pipeline) --------

@@ -1,34 +1,24 @@
-"""Relational operator library: broadcast joins, explicit bucketed
-hash join, semi-join, dedup-first, top-k, grouped windows.
+"""Relational operator library: broadcast joins, as-of join,
+dedup-first, top-k, salted sums, rollup/cube and set comparison.
 
 These are the generic forms of the reference's joins/lookups
-(SURVEY.md §2.4): J1/J3/J4 are broadcast probes, J2 is the shuffle
-join.  The bucketed join is the portable explicit pattern (union two
-tagged sides, groupby bucket, merge per group) used when
-``Dataset.join`` isn't a fit; both are provided.
+(SURVEY.md §2.4): J1/J3/J4 are broadcast probes (below); J2, the
+shuffle join, is ``exchange.join``.  The per-key operators here run on
+``exchange.by_key``, one vectorized kernel per key-sorted partition.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data
 
-
-def _bucket_ids(s: pd.Series, num_buckets: int):
-    """Stable bucket ids for a key column.  Integer keys are widened
-    to int64 FIRST: pandas hashes a small-width negative int (int32
-    -5) differently from the int64 -5 (view-then-astype), so two join
-    sides with mismatched key dtypes would land equal keys in
-    different buckets and emit wrong join/anti-join results."""
-    if pd.api.types.is_integer_dtype(s.dtype):
-        s = s.astype("int64")
-    return (
-        pd.util.hash_pandas_object(s, index=False).to_numpy() % num_buckets
-    ).astype("int32")
+from .exchange import by_key, run_starts, seg_ids, seg_searchsorted
 
 
 def broadcast_inner_join(
@@ -53,192 +43,16 @@ def broadcast_inner_join(
 def broadcast_semi_join(
     ds: ray.data.Dataset, keys, on: str
 ) -> ray.data.Dataset:
-    """Keep rows whose ``on`` value is in the broadcast key set."""
-    key_set = set(keys)
-    ref = ray.put(key_set)
+    """Keep rows whose ``on`` value is in the broadcast key set (one
+    Arrow array, probed with ``is_in``).  Null keys never match."""
+    ref = ray.put(pa.array(list(keys)))
 
     def filt(batch: pa.Table) -> pa.Table:
-        ks = ray.get(ref)
-        mask = pa.array([v in ks for v in batch[on].to_pylist()])
-        return batch.filter(mask)
+        value_set = ray.get(ref).cast(batch[on].type)
+        mask = pc.is_in(batch[on], value_set=value_set, skip_nulls=True)
+        return batch.filter(pc.fill_null(mask, False))
 
     return ds.map_batches(filt, batch_format="pyarrow")
-
-
-def hash_join_bucketed(
-    left: ray.data.Dataset,
-    right: ray.data.Dataset,
-    on: str,
-    num_buckets: int = 16,
-    right_on: Optional[str] = None,
-    suffix: str = "_r",
-    how: str = "inner",
-) -> ray.data.Dataset:
-    """Explicit partitioned hash join: tag each side, bucket by
-    hash(key) % B, groupby(bucket), pandas merge per bucket.  Skewed
-    keys: raise num_buckets or salt the hot key's bucket upstream.
-    ``how``: 'inner' or 'left' (LEFT OUTER — unmatched left rows
-    survive with nulls in the right columns)."""
-    if how not in ("inner", "left"):
-        raise ValueError("how must be 'inner' or 'left'")
-    right_on = right_on or on
-    l_schema, r_schema = left.schema(), right.schema()
-    l_names, r_names = list(l_schema.names), list(r_schema.names)
-
-    def _arrow_type(typ) -> pa.DataType:
-        # pandas-backed datasets report numpy dtypes / `object`
-        if isinstance(typ, pa.DataType):
-            return typ
-        try:
-            return pa.from_numpy_dtype(typ)
-        except (pa.ArrowNotImplementedError, TypeError):
-            return pa.string()
-
-    # unified schema: union of both sides' columns by name + tag cols
-    unified: list = []
-    seen = {}
-    for name, typ in list(zip(l_names, l_schema.types)) + list(
-        zip(r_names, r_schema.types)
-    ):
-        if name not in seen:
-            seen[name] = typ
-            unified.append((name, _arrow_type(typ)))
-
-    def tag(side: str, key: str, own: List[str]):
-        def fn(t: pa.Table) -> pa.Table:
-            n = t.num_rows
-            cols = {}
-            for name, typ in unified:
-                cols[name] = t[name] if name in own else pa.nulls(n, typ)
-            # vectorized stable bucket ids: hash_pandas_object is a C
-            # kernel with a hardcoded key (process-stable), so both
-            # sides of the join bucket identically with no Python loop
-            cols["__bucket"] = pa.array(
-                _bucket_ids(t[key].to_pandas(), num_buckets), pa.int32()
-            )
-            cols["__side"] = pa.array([side] * n)
-            return pa.table(cols)
-
-        return fn
-
-    lt = left.map_batches(tag("l", on, l_names), batch_format="pyarrow")
-    rt = right.map_batches(tag("r", right_on, r_names), batch_format="pyarrow")
-
-    # the exact column list pandas merge emits, so every bucket —
-    # including empty / rhs-empty fallbacks — shares ONE schema even
-    # when the sides collide on non-key column names (collisions get
-    # the right-side suffix; a shared key name merges to one column)
-    merged_names = list(l_names)
-    for name in r_names:
-        if name == right_on and right_on == on:
-            continue
-        merged_names.append(name + suffix if name in l_names else name)
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        lhs = g[g["__side"] == "l"][l_names]
-        rhs = g[g["__side"] == "r"][r_names]
-        if lhs.empty or (rhs.empty and how == "inner"):
-            return pd.DataFrame(columns=merged_names)
-        if rhs.empty:  # left outer with no bucket matches
-            out = lhs.copy()
-            for name in merged_names:
-                if name not in out.columns:
-                    out[name] = pd.NA
-            return out[merged_names]
-        return lhs.merge(
-            rhs, left_on=on, right_on=right_on, how=how, suffixes=("", suffix)
-        )
-
-    # union of tagged sides co-partitions both on the bucket key
-    return lt.union(rt).groupby("__bucket").map_groups(
-        merge, batch_format="pandas"
-    )
-
-
-def anti_join_bucketed(
-    left: ray.data.Dataset,
-    right: ray.data.Dataset,
-    on: str,
-    right_on: Optional[str] = None,
-    num_buckets: int = 16,
-) -> ray.data.Dataset:
-    """Left ANTI join (rows of ``left`` whose key has no match in
-    ``right``) as an explicit partitioned exchange: the right side is
-    projected to its key column only (the probe needs nothing else, so
-    the shuffle moves keys, not rows), both sides bucket on
-    hash(key) % B, and each bucket group emits the left rows whose key
-    is absent from the bucket's right-key set.  Scale-honest — neither
-    side is broadcast, so this works when BOTH sides are corpus-sized
-    (the broadcast variant ``broadcast_semi_join`` with a negated mask
-    is the small-right shortcut)."""
-    right_on = right_on or on
-    l_schema = left.schema()
-    l_names = list(l_schema.names)
-
-    def _arrow_type(typ) -> pa.DataType:
-        if isinstance(typ, pa.DataType):
-            return typ
-        try:
-            return pa.from_numpy_dtype(typ)
-        except (pa.ArrowNotImplementedError, TypeError):
-            return pa.string()
-
-    l_types = {n: _arrow_type(t) for n, t in zip(l_names, l_schema.types)}
-
-    def tag_left(t: pa.Table) -> pa.Table:
-        key = t[on]
-        bucket = pa.array(_bucket_ids(key.to_pandas(), num_buckets), pa.int32())
-        return t.append_column("__bucket", bucket).append_column(
-            "__side", pa.array(["l"] * t.num_rows)
-        )
-
-    def tag_right(t: pa.Table) -> pa.Table:
-        # key column only, renamed to the left key, null-padded schema
-        key = t[right_on]
-        n = t.num_rows
-        cols = {}
-        for name in l_names:
-            cols[name] = key if name == on else pa.nulls(n, l_types[name])
-        cols["__bucket"] = pa.array(_bucket_ids(key.to_pandas(), num_buckets),
-                                    pa.int32())
-        cols["__side"] = pa.array(["r"] * n)
-        return pa.table(cols)
-
-    lt = left.map_batches(tag_left, batch_format="pyarrow")
-    rt = right.map_batches(tag_right, batch_format="pyarrow")
-
-    def anti(g: pd.DataFrame) -> pd.DataFrame:
-        rhs_keys = set(g.loc[g["__side"] == "r", on])
-        lhs = g[g["__side"] == "l"]
-        return lhs.loc[~lhs[on].isin(rhs_keys), l_names]
-
-    return lt.union(rt).groupby("__bucket").map_groups(anti, batch_format="pandas")
-
-
-def hash_join(
-    left: ray.data.Dataset,
-    right: ray.data.Dataset,
-    on: str,
-    right_on: Optional[str] = None,
-    num_partitions: Optional[int] = None,
-) -> ray.data.Dataset:
-    """Distributed hash join via the native ``Dataset.join``
-    (hash-partitioned on the key) — the production path; the explicit
-    ``hash_join_bucketed`` above is the portable pattern for engines
-    without a native join and documents the exchange.  Partition
-    count defaults to ~cluster CPUs / 8 (each partition is an
-    aggregator actor; 4 beat 16 by ~20%% on the 32-CPU box)."""
-    if num_partitions is None:
-        from .dedup import _default_partitions
-
-        num_partitions = _default_partitions(8, 2)
-    return left.join(
-        right,
-        join_type="inner",
-        num_partitions=num_partitions,
-        on=(on,),
-        right_on=((right_on or on),),
-    )
 
 
 def asof_join(
@@ -257,67 +71,64 @@ def asof_join(
     (deterministic).  Left rows with no earlier right row drop
     (inner semantics).
 
-    Ray-Data shape: tagged union of both sides co-partitions by key in
-    ONE exchange; each per-key group sorts the right side once and
-    answers every left row with a vectorized ``np.searchsorted`` —
-    the distributed sort-merge as-of, not a cross join.
-    Partitioning assumption: one key's rows fit a worker (same as any
-    per-key group op; salt hot keys upstream if not)."""
-    import numpy as np
-
-    lcols = [on, left_time]
-    extra = [c for c in left.schema().names if c not in lcols]
-
-    def tag_left(t: pa.Table) -> pa.Table:
-        cols = {"__key": t[on], "__t": t[left_time], "__side": pa.array(["l"] * t.num_rows)}
-        cols["__rv"] = pa.nulls(t.num_rows, right.schema().types[right.schema().names.index(right_value)])
-        for c in extra:
-            cols[c] = t[c]
-        return pa.table(cols)
-
-    def tag_right(t: pa.Table) -> pa.Table:
-        cols = {"__key": t[right_on], "__t": t[right_time], "__side": pa.array(["r"] * t.num_rows)}
-        cols["__rv"] = t[right_value]
-        for c in extra:
-            cols[c] = pa.nulls(t.num_rows, left.schema().types[left.schema().names.index(c)])
-        return pa.table(cols)
-
-    lt = left.map_batches(tag_left, batch_format="pyarrow")
-    rt = right.select_columns([right_on, right_time, right_value]).map_batches(
-        tag_right, batch_format="pyarrow"
+    Ray-Data shape: a tagged union of both sides goes through ONE
+    ``by_key`` on the key; each partition sorts its right rows by
+    (key, time, value) once and answers every left row with one
+    segmented searchsorted — the distributed sort-merge as-of, not a
+    cross join."""
+    l_sch, r_sch = left.schema(), right.schema()
+    extra = [c for c in l_sch.names if c not in (on, left_time)]
+    l_types = dict(zip(l_sch.names, l_sch.types))
+    r_types = dict(zip(r_sch.names, r_sch.types))
+    key_type = pa.int64() if pa.types.is_integer(l_types[on]) else l_types[on]
+    schema = pa.schema(
+        [("__key", key_type), ("__t", l_types[left_time]), ("__s", pa.int8()),
+         ("__rv", r_types[right_value])]
+        + [(c, l_types[c]) for c in extra]
     )
 
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        ls = g[g["__side"] == "l"]
-        rs = g[g["__side"] == "r"].sort_values(["__t", "__rv"])
-        if ls.empty or rs.empty:
-            return pd.DataFrame(
-                columns=[on, left_time, *extra, "asof_time", "asof_value"]
-            )
-        rtimes = rs["__t"].to_numpy()
-        rvals = rs["__rv"].to_numpy()
-        idx = np.searchsorted(rtimes, ls["__t"].to_numpy(), side="right") - 1
-        ok = idx >= 0
-        ls = ls[ok]
-        idx = idx[ok]
-        if ls.empty:
-            return pd.DataFrame(
-                columns=[on, left_time, *extra, "asof_time", "asof_value"]
-            )
-        # tie-break: last row of the matched __t run = max __rv (sorted)
-        last = np.searchsorted(rtimes, rtimes[idx], side="right") - 1
-        out = pd.DataFrame(
+    def tagger(side: int, key: str, time: str):
+        def tag(t: pa.Table) -> pa.Table:
+            n = t.num_rows
+            if not n:
+                return schema.empty_table()
+            cols = [t[key].cast(key_type), t[time].cast(schema.field("__t").type),
+                    pa.array(np.full(n, side, np.int8))]
+            cols.append(t[right_value] if side else pa.nulls(n, schema.field("__rv").type))
+            cols += [pa.nulls(n, schema.field(c).type) if side else t[c] for c in extra]
+            return pa.Table.from_arrays(cols, schema=schema)
+
+        return tag
+
+    tagged = left.map_batches(tagger(0, on, left_time), batch_format="pyarrow").union(
+        right.select_columns([right_on, right_time, right_value]).map_batches(
+            tagger(1, right_on, right_time), batch_format="pyarrow"
+        )
+    )
+
+    def merge(t: pa.Table) -> pa.Table:
+        side = t["__s"].to_numpy()
+        seg = seg_ids(run_starts(t["__key"]), t.num_rows)
+        tt = t["__t"].to_numpy()
+        li, ri = np.flatnonzero(side == 0), np.flatnonzero(side == 1)
+        rv = t["__rv"].take(ri).to_numpy(zero_copy_only=False)
+        ri = ri[np.lexsort((rv, tt[ri], seg[ri]))]
+        # last right row with time <= the left time; being the last of
+        # its time run, it carries that run's max value
+        pos = seg_searchsorted(tt[ri], seg[ri], tt[li], seg[li], side="right") - 1
+        ok = pos >= np.searchsorted(seg[ri], seg[li], side="left")
+        li, hit = li[ok], ri[pos[ok]]
+        return pa.table(
             {
-                on: ls["__key"].to_numpy(),
-                left_time: ls["__t"].to_numpy(),
-                **{c: ls[c].to_numpy() for c in extra},
-                "asof_time": rtimes[last],
-                "asof_value": rvals[last],
+                on: t["__key"].take(li),
+                left_time: t["__t"].take(li),
+                **{c: t[c].take(li) for c in extra},
+                "asof_time": t["__t"].take(hit),
+                "asof_value": t["__rv"].take(hit),
             }
         )
-        return out
 
-    return lt.union(rt).groupby("__key").map_groups(merge, batch_format="pandas")
+    return by_key(tagged, "__key", merge)
 
 
 def dedup_first(
@@ -329,11 +140,19 @@ def dedup_first(
     """One row per key group: the first by ``order_by`` — the
     INSERT-OR-IGNORE pattern (reference dao/matches_db.py:51-62)
     made deterministic."""
+    keys = list(keys)
+    order = "ascending" if ascending else "descending"
 
-    def first(g: pd.DataFrame) -> pd.DataFrame:
-        return g.sort_values(list(order_by), ascending=ascending).head(1)
+    def first(t: pa.Table) -> pa.Table:
+        t = t.take(
+            pc.sort_indices(
+                t, sort_keys=[(k, "ascending") for k in keys]
+                + [(c, order) for c in order_by]
+            )
+        )
+        return t.take(run_starts(*[t[k] for k in keys]))
 
-    return ds.groupby(list(keys)).map_groups(first, batch_format="pandas")
+    return by_key(ds, keys, first)
 
 
 def top_k(
@@ -358,26 +177,20 @@ def grouped_top_k(
 
     Map-side combiner: every batch is pre-truncated to its own per-key
     top-k (exact — the global per-key top-k is a subset of the union
-    of per-batch per-key top-ks), so the one groupby exchange moves at
-    most k rows per (key, batch) instead of every row."""
-    order = list(by)
-    asc = [not d for d in descending]
+    of per-batch per-key top-ks), so the one ``by_key`` exchange moves
+    at most k rows per (key, batch) instead of every row.  The same
+    kernel does both steps."""
+    sort_keys = [(group_key, "ascending")] + [
+        (c, "descending" if d else "ascending") for c, d in zip(by, descending)
+    ]
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        return (
-            df.sort_values(order, ascending=asc)
-            .groupby(group_key, group_keys=False)
-            .head(k)
-        )
+    def top(t: pa.Table) -> pa.Table:
+        t = t.take(pc.sort_indices(t, sort_keys=sort_keys))
+        starts = run_starts(t[group_key])
+        rank = np.arange(t.num_rows) - starts[seg_ids(starts, t.num_rows)]
+        return t.filter(rank < k)
 
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        return g.sort_values(order, ascending=asc).head(k)
-
-    return (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby(group_key)
-        .map_groups(final, batch_format="pandas")
-    )
+    return by_key(ds.map_batches(top, batch_format="pyarrow"), group_key, top)
 
 
 def salted_group_sum(
@@ -397,8 +210,6 @@ def salted_group_sum(
     instead of one.  Phase 2: groupby key over ≤ num_salts rows per
     key.  The result is identical to a plain GROUP BY (addition is
     associative); only the exchange layout changes."""
-    import numpy as np
-    import pyarrow.compute as pc
     from ray.data.aggregate import Sum
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -444,7 +255,6 @@ def _finest_sum_cents(
     non-string key would make that concat raise (or, worse, a genuine
     key value could collide with the label if we compared sentinels;
     see cube_sum_cents, which avoids sentinel comparison entirely)."""
-    import pyarrow.compute as pc
     from ray.data.aggregate import Sum
 
     schema = ds.schema()
@@ -524,8 +334,6 @@ def _reaggregate_levels(
     """Build one coarser level per kept-key subset by re-aggregating
     the finest AGGREGATE (never the raw rows); dropped key slots carry
     ``all_label``."""
-    import pyarrow.compute as pc
-
     levels = []
     for kept in kept_sets:
         kept = list(kept)
@@ -601,7 +409,6 @@ def set_compare(
     per-batch deduplicated map-side, so the single keyed exchange
     moves DISTINCT keys only; one groupby-max then a vectorized
     classify.  No sort, no join — the flags are the join."""
-    import pyarrow.compute as pc
     from ray.data.aggregate import Max
 
     def tag(a: int, b: int):

@@ -23,6 +23,8 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from .exchange import by_key, run_starts, seg_cumsum, seg_ids, seg_reduce, seg_searchsorted
+
 U64 = 1 << 64
 
 
@@ -415,22 +417,20 @@ def grouped_median_cents(
     ``sorted[(n-1)*q_num // q_den]`` — the default 1/2 is the median,
     the same rule as ``quantiles_exact``) of a cents-representable
     value column, computed over a VALUE HISTOGRAM: a map-side partial
-    count per (group, cents) in each batch, ONE (group, cents)-keyed
-    exchange of those counts, then a per-group walk of the compacted
-    histogram (cumulative counts vs the target rank).  The quantile is
-    a RATIONAL (q_num/q_den) so the rank is pure integer arithmetic in
-    both engines — no float rounding divergence.
+    count per (group, cents) in each batch, ONE group-keyed
+    ``by_key`` exchange of those counts, then a per-group walk of the
+    histogram (segmented cumulative counts vs the target rank).  The
+    quantile is a RATIONAL (q_num/q_den) so the rank is pure integer
+    arithmetic in both engines — no float rounding divergence.
 
-    Scale shape: the shuffle moves distinct (group, cents) pairs —
-    bounded by group × value cardinality, not corpus size — and no
-    group ever materializes its raw rows, so a group with 10^9 rows
-    costs the same as one with 10^3.
+    Scale shape: the shuffle moves per-batch distinct (group, cents)
+    pairs — bounded by batches × group × value cardinality, not corpus
+    size — and no group ever materializes its raw rows, so a group
+    with 10^9 rows costs the same as one with 10^3.
 
     ``cents_in=True`` means ``value_col`` already holds int64 cents
     (e.g. a derived |difference| column) — no ×100 conversion."""
-    import pandas as pd
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
     if not (0 <= q_num <= q_den and q_den > 0):
         raise ValueError("need 0 <= q_num <= q_den (a quantile in [0, 1])")
@@ -454,27 +454,21 @@ def grouped_median_cents(
             }
         )
 
-    hist = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby([group_col, "cents"])
-        .aggregate(Sum("pn", alias_name="n"))
-    )
-
-    def median(g: pd.DataFrame) -> pd.DataFrame:
-        gg = g.sort_values("cents")
-        n = int(gg["n"].sum())
-        k = (n - 1) * q_num // q_den  # 0-based lower-rule rank
-        cum = gg["n"].cumsum().to_numpy()
-        idx = int(np.searchsorted(cum, k + 1))
-        return pd.DataFrame(
-            {
-                group_col: [gg[group_col].iloc[0]],
-                out_col: [int(gg["cents"].iloc[idx])],
-                "n": [n],
-            }
+    def quantile(t: pa.Table) -> pa.Table:
+        starts = run_starts(t[group_col])
+        seg = seg_ids(starts, t.num_rows)
+        cents, pn = t["cents"].to_numpy(), t["pn"].to_numpy()
+        order = np.lexsort((cents, seg))
+        cents, pn = cents[order], pn[order]
+        n = seg_reduce(np.add, pn, starts)
+        rank = (n - 1) * q_num // q_den  # 0-based lower-rule rank
+        groups = np.arange(len(starts))
+        idx = seg_searchsorted(seg_cumsum(pn, starts), seg, rank + 1, groups)
+        return pa.table(
+            {group_col: t[group_col].take(starts), out_col: cents[idx], "n": n}
         )
 
-    return hist.groupby(group_col).map_groups(median, batch_format="pandas")
+    return by_key(ds.map_batches(partial, batch_format="pyarrow"), group_col, quantile)
 
 
 def hll_registers(

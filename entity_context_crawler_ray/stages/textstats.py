@@ -19,6 +19,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.text import TOKEN_PATTERN
+from .exchange import by_key, run_starts, seg_ids, seg_reduce
 
 _TOKEN_RE = re.compile(TOKEN_PATTERN)
 _WORD_RE = re.compile(r"[A-Za-z0-9_]+")
@@ -348,13 +349,12 @@ def inverted_index(
     lowercased text) plus df (distinct docs) and total occurrence
     count.  The search-index / n-gram-LM construction shape.
 
-    One word-keyed exchange of (word, doc, pos) triples — already the
-    minimal exchange for position-bearing postings; per-word assembly
-    is a lexsort + join, never a Python loop over the corpus.  With
-    ``max_df`` > 0, words appearing in more than ``max_df`` docs are
-    dropped AFTER df is known (stopword pruning) so giant posting
-    rows never materialize."""
-    import pandas as pd
+    One word-keyed ``by_key`` exchange of (word, doc, pos) triples —
+    already the minimal exchange for position-bearing postings; per
+    partition, postings assemble with one lexsort and one Arrow list
+    join, never a Python loop over words.  With ``max_df`` > 0, words
+    appearing in more than ``max_df`` docs are dropped AFTER df is
+    known (stopword pruning) so giant posting rows never materialize."""
 
     def explode(batch: pa.Table) -> pa.Table:
         docs, words, poss = [], [], []
@@ -371,37 +371,30 @@ def inverted_index(
             }
         )
 
-    def per_word(g: pd.DataFrame) -> pd.DataFrame:
-        docs = g[id_col].to_numpy()
-        pos = g["pos"].to_numpy()
-        order = np.lexsort((pos, docs))
-        df = int(pd.unique(docs).size)
-        if max_df and df > max_df:
-            return pd.DataFrame(
-                {
-                    "word": pd.Series([], dtype=object),
-                    "df": pd.Series([], dtype="int64"),
-                    "n_postings": pd.Series([], dtype="int64"),
-                    "postings": pd.Series([], dtype=object),
-                }
-            )
-        postings = ",".join(
-            f"{d}:{p}" for d, p in zip(docs[order], pos[order])
+    def postings(t: pa.Table) -> pa.Table:
+        starts = run_starts(t["word"])
+        seg = seg_ids(starts, t.num_rows)
+        docs, pos = t[id_col].to_numpy(), t["pos"].to_numpy()
+        order = np.lexsort((pos, docs, seg))
+        docs, pos = docs[order], pos[order]
+        new_doc = np.ones(len(docs), dtype=bool)
+        new_doc[1:] = (seg[1:] != seg[:-1]) | (docs[1:] != docs[:-1])
+        df = seg_reduce(np.add, new_doc.astype(np.int64), starts)
+        pairs = pc.binary_join_element_wise(
+            pa.array(docs).cast(pa.string()), pa.array(pos).cast(pa.string()), ":"
         )
-        return pd.DataFrame(
+        lists = pa.ListArray.from_arrays(pa.array(np.append(starts, len(docs)), pa.int32()), pairs)
+        out = pa.table(
             {
-                "word": [g["word"].iloc[0]],
-                "df": [df],
-                "n_postings": [len(docs)],
-                "postings": [postings],
+                "word": t["word"].take(starts),
+                "df": df,
+                "n_postings": np.diff(np.append(starts, len(docs))),
+                "postings": pc.binary_join(lists, ","),
             }
         )
+        return out.filter(pc.less_equal(out["df"], max_df)) if max_df else out
 
-    return (
-        documents.map_batches(explode, batch_format="pyarrow")
-        .groupby("word")
-        .map_groups(per_word, batch_format="pandas")
-    )
+    return by_key(documents.map_batches(explode, batch_format="pyarrow"), "word", postings)
 
 
 def repetition_stats(batch: pa.Table, text_col: str = "text") -> pa.Table:

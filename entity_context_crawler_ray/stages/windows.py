@@ -1,21 +1,44 @@
-"""Stream-shaped operators over the ``events`` log: tumbling windows
-and gap sessionization.
+"""Stream-shaped operators over the ``events`` log: tumbling, hopping
+and sliding windows, sessions, running and ranked aggregates, funnels.
 
 The reference has no windows/watermarks (SURVEY.md §2.9); these are
-the batch formulations a training-data pipeline needs.  The input is
-treated as an ordered, partitioned log: the window key is computed
-vectorized in ``map_batches`` (no shuffle), then one grouped
-aggregate; sessionization sorts each key's group by ts inside
-``map_groups``.
+the batch formulations a training-data pipeline needs.  Windows keyed
+by (key, window id) compute the id vectorized in ``map_batches`` and
+run one grouped aggregate.  Per-key sequence operators (sessions,
+sliding/running aggregates, ranks, funnels) run on
+``exchange.by_key``: one vectorized kernel per key-sorted partition,
+which orders each key's events with one lexsort and answers with
+segmented scans — no per-key Python call.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
+
+from .exchange import by_key, run_starts, seg_cumsum, seg_ids, seg_reduce, seg_searchsorted
+
+
+def _ticks(col, unit: str = "us") -> np.ndarray:
+    """Timestamps as int64 ``unit`` ticks since the epoch."""
+    return col.cast(pa.timestamp(unit)).cast(pa.int64()).to_numpy()
+
+
+def _cents(col) -> np.ndarray:
+    return np.rint(col.to_numpy(zero_copy_only=False) * 100).astype(np.int64)
+
+
+def _key_sorted(t: pa.Table, key_col: str, *within):
+    """Row order by (key, *within) of a key-sorted partition, its
+    segment starts and per-row segment ids (in that order).  ``within``
+    are numpy arrays, most significant first.  The order moves rows
+    only within their segment, so starts and ids hold after it."""
+    starts = run_starts(t[key_col])
+    seg = seg_ids(starts, t.num_rows)
+    order = np.lexsort(tuple(reversed(within)) + (seg,))
+    return order, starts, seg
 
 
 def tumbling_window_agg(
@@ -66,26 +89,26 @@ def sessionize(
     (key, n_sessions, n_events, max_session_len)."""
     gap_ns = gap_s * 1_000_000_000
 
-    def per_key(g: pd.DataFrame) -> pd.DataFrame:
-        # normalize to int64 nanoseconds regardless of the unit the
-        # arrow->pandas round-trip picked
-        ts = pd.to_datetime(g[ts_col]).sort_values().astype("datetime64[ns]").astype("int64")
-        d = ts.diff()
-        new_session = d.isna() | (d > gap_ns)
-        session_ids = new_session.cumsum()
-        sizes = session_ids.value_counts()
-        return pd.DataFrame(
+    def sessions(t: pa.Table) -> pa.Table:
+        ts = _ticks(t[ts_col], "ns")
+        order, starts, seg = _key_sorted(t, key_col, ts)
+        ts = ts[order]
+        new = np.ones(len(ts), dtype=bool)
+        new[1:] = (seg[1:] != seg[:-1]) | (np.diff(ts) > gap_ns)
+        s_starts = np.flatnonzero(new)
+        s_len = np.diff(np.append(s_starts, len(ts)))
+        # sessions never straddle keys: group them by their key
+        per_key = run_starts(seg[s_starts])
+        return pa.table(
             {
-                key_col: [g[key_col].iloc[0]],
-                "n_sessions": [int(session_ids.max())],
-                "n_events": [len(g)],
-                "max_session_len": [int(sizes.max())],
+                key_col: t[key_col].take(starts),
+                "n_sessions": np.diff(np.append(per_key, len(s_starts))),
+                "n_events": np.diff(np.append(starts, len(ts))),
+                "max_session_len": seg_reduce(np.maximum, s_len, per_key),
             }
         )
 
-    return events.select_columns([key_col, ts_col]).groupby(key_col).map_groups(
-        per_key, batch_format="pandas"
-    )
+    return by_key(events.select_columns([key_col, ts_col]), key_col, sessions)
 
 
 def sliding_range_agg(
@@ -102,45 +125,31 @@ def sliding_range_agg(
     of the same key's events with ts in ``[t - window_s, t]``,
     boundary inclusive.
 
-    One key-partitioned exchange; inside each group the window is two
-    vectorized ``searchsorted`` probes over the sorted ts array plus a
-    prefix-sum — O(n log n) per key, no per-event Python loop.  Output
-    is defined per (key, ts) VALUE, not row order, so ties in ts are
-    deterministic (all peers get the full peer-inclusive window, the
-    same semantics as SQL RANGE windows)."""
-    import numpy as np
-
+    One ``by_key`` exchange; per partition the window is two segmented
+    ``searchsorted`` probes over the (key, ts)-sorted events plus one
+    prefix sum.  Output is defined per (key, ts) VALUE, not row order,
+    so ties in ts are deterministic (all peers get the full
+    peer-inclusive window, the same semantics as SQL RANGE windows)."""
     win_us = window_s * 1_000_000
 
-    def per_key(g: pd.DataFrame) -> pd.DataFrame:
-        order = np.argsort(
-            pd.to_datetime(g[ts_col]).astype("datetime64[us]").astype("int64").to_numpy(),
-            kind="stable",
-        )
-        ts = (
-            pd.to_datetime(g[ts_col])
-            .astype("datetime64[us]")
-            .astype("int64")
-            .to_numpy()[order]
-        )
-        ids = g[id_col].to_numpy()[order]
-        cents = np.rint(g[value_col].to_numpy()[order] * 100).astype(np.int64)
-        lo = np.searchsorted(ts, ts - win_us, side="left")
-        hi = np.searchsorted(ts, ts, side="right")
-        csum = np.concatenate(([0], np.cumsum(cents)))
-        return pd.DataFrame(
+    def windowed(t: pa.Table) -> pa.Table:
+        ts = _ticks(t[ts_col])
+        order, _, seg = _key_sorted(t, key_col, ts)
+        ts = ts[order]
+        lo = seg_searchsorted(ts, seg, ts - win_us, seg, side="left")
+        hi = seg_searchsorted(ts, seg, ts, seg, side="right")
+        csum = np.concatenate(([0], np.cumsum(_cents(t[value_col])[order])))
+        return pa.table(
             {
-                id_col: ids,
-                key_col: g[key_col].iloc[0],
+                id_col: t[id_col].take(order),
+                key_col: t[key_col].take(order),
                 "n_win": (hi - lo).astype(np.int64),
                 "sum_cents_win": csum[hi] - csum[lo],
             }
         )
 
-    return (
-        events.select_columns([id_col, key_col, ts_col, value_col])
-        .groupby(key_col)
-        .map_groups(per_key, batch_format="pandas")
+    return by_key(
+        events.select_columns([id_col, key_col, ts_col, value_col]), key_col, windowed
     )
 
 
@@ -156,33 +165,22 @@ def cumulative_agg(
     key's events up to and including this one, ordered by
     ``(ts, id)`` so ties in ts are deterministic.
 
-    One key-partitioned exchange; per group a lexsort + one cumsum —
-    no per-event Python loop."""
-    import numpy as np
+    One ``by_key`` exchange; per partition a lexsort + two segmented
+    cumsums."""
 
-    def per_key(g: pd.DataFrame) -> pd.DataFrame:
-        ts = (
-            pd.to_datetime(g[ts_col])
-            .astype("datetime64[us]")
-            .astype("int64")
-            .to_numpy()
-        )
-        ids = g[id_col].to_numpy()
-        order = np.lexsort((ids, ts))
-        cents = np.rint(g[value_col].to_numpy()[order] * 100).astype(np.int64)
-        return pd.DataFrame(
+    def running(t: pa.Table) -> pa.Table:
+        order, starts, _ = _key_sorted(t, key_col, _ticks(t[ts_col]), t[id_col].to_numpy())
+        return pa.table(
             {
-                id_col: ids[order],
-                key_col: g[key_col].iloc[0],
-                "n_cum": np.arange(1, len(ids) + 1, dtype=np.int64),
-                "sum_cents_cum": np.cumsum(cents),
+                id_col: t[id_col].take(order),
+                key_col: t[key_col].take(order),
+                "n_cum": seg_cumsum(np.ones(t.num_rows, np.int64), starts),
+                "sum_cents_cum": seg_cumsum(_cents(t[value_col])[order], starts),
             }
         )
 
-    return (
-        events.select_columns([id_col, key_col, ts_col, value_col])
-        .groupby(key_col)
-        .map_groups(per_key, batch_format="pandas")
+    return by_key(
+        events.select_columns([id_col, key_col, ts_col, value_col]), key_col, running
     )
 
 
@@ -198,40 +196,37 @@ def ranked_per_key(
     rows with row_number <= k.
 
     ``order_col_cents`` is a float money column ranked on its exact
-    integer cents so ties are well-defined.  One key-partitioned
-    exchange; per group a lexsort + two vectorized scans (no
-    per-row Python).  row_number tie-breaks by id; rank/dense_rank
-    depend on the value alone, so all three are
+    integer cents so ties are well-defined.  One ``by_key`` exchange;
+    per partition a lexsort + segmented scans.  row_number tie-breaks
+    by id; rank/dense_rank depend on the value alone, so all three are
     partition/order-independent."""
-    import numpy as np
 
-    def per_key(g: pd.DataFrame) -> pd.DataFrame:
-        cents = np.rint(g[order_col_cents].to_numpy() * 100).astype(np.int64)
-        ids = g[id_col].to_numpy()
-        order = np.lexsort((ids, -cents))
+    def ranked(t: pa.Table) -> pa.Table:
+        cents = _cents(t[order_col_cents])
+        order, starts, seg = _key_sorted(t, key_col, -cents, t[id_col].to_numpy())
         sc = cents[order]
         n = len(sc)
-        new_val = np.r_[True, sc[1:] != sc[:-1]]
-        rn = np.arange(1, n + 1, dtype=np.int64)
-        rank = np.maximum.accumulate(np.where(new_val, rn, 0))
-        dense = np.cumsum(new_val).astype(np.int64)
+        new_val = np.ones(n, dtype=bool)
+        new_val[1:] = (seg[1:] != seg[:-1]) | (sc[1:] != sc[:-1])
+        pos = np.arange(n)
+        rn = pos - starts[seg] + 1
+        # rank = 1 + offset of the last value change (a change always
+        # opens a segment, so the running max never crosses segments)
+        rank = np.maximum.accumulate(np.where(new_val, pos, 0)) - starts[seg] + 1
+        dense = seg_cumsum(new_val.astype(np.int64), starts)
         keep = rn <= k
-        return pd.DataFrame(
+        return pa.table(
             {
-                key_col: g[key_col].iloc[0],
-                id_col: ids[order][keep],
+                key_col: t[key_col].take(order[keep]),
+                id_col: t[id_col].take(order[keep]),
                 "cents": sc[keep],
-                "rn": rn[keep],
-                "rnk": rank[keep],
+                "rn": rn[keep].astype(np.int64),
+                "rnk": rank[keep].astype(np.int64),
                 "dense_rnk": dense[keep],
             }
         )
 
-    return (
-        ds.select_columns([key_col, id_col, order_col_cents])
-        .groupby(key_col)
-        .map_groups(per_key, batch_format="pandas")
-    )
+    return by_key(ds.select_columns([key_col, id_col, order_col_cents]), key_col, ranked)
 
 
 def funnel_stages(
@@ -248,44 +243,33 @@ def funnel_stages(
     subsequence containment).  Returns (key, funnel_stage) with
     funnel_stage in [0, len(stages)].
 
-    One key-partitioned exchange; per group a chained searchsorted —
-    per STAGE (a small constant), the min ts of that stage's events
-    strictly after the previous stage's matched ts, exactly the SQL
-    chained-min formulation (t_k = min ts of stage k events strictly
-    after t_{k-1}); no per-event Python loop."""
-    import numpy as np
-
+    One ``by_key`` exchange; per partition one pass per STAGE (a small
+    constant) finds, for every key at once, the min ts of that stage's
+    events strictly after the previous stage's matched ts, exactly the
+    SQL chained-min formulation (t_k = min ts of stage k events
+    strictly after t_{k-1})."""
     stage_list = list(stages)
+    never = np.iinfo(np.int64).max
 
-    def per_key(g: pd.DataFrame) -> pd.DataFrame:
-        ts = (
-            pd.to_datetime(g[ts_col])
-            .astype("datetime64[us]")
-            .astype("int64")
-            .to_numpy()
-        )
-        types = g[type_col].to_numpy()
-        reached = 0
-        last_t = np.iinfo(np.int64).min
+    def funnel(t: pa.Table) -> pa.Table:
+        starts = run_starts(t[key_col])
+        seg = seg_ids(starts, t.num_rows)
+        ts = _ticks(t[ts_col])
+        types = t[type_col]
+        last = np.full(len(starts), np.iinfo(np.int64).min)
+        reached = np.zeros(len(starts), np.int64)
+        alive = np.ones(len(starts), dtype=bool)
         for stage in stage_list:
-            stage_ts = np.sort(ts[types == stage])
-            i = np.searchsorted(stage_ts, last_t, side="right")
-            if i >= len(stage_ts):
-                break
-            last_t = stage_ts[i]
-            reached += 1
-        return pd.DataFrame(
-            {
-                key_col: [g[key_col].iloc[0]],
-                "funnel_stage": [np.int64(reached)],
-            }
-        )
+            sel = pc.fill_null(pc.equal(types, stage), False).to_numpy(zero_copy_only=False)
+            sel &= ts > last[seg]
+            best = np.full(len(starts), never)
+            np.minimum.at(best, seg[sel], ts[sel])
+            alive &= best != never
+            reached += alive
+            last = np.where(alive, best, last)
+        return pa.table({key_col: t[key_col].take(starts), "funnel_stage": reached})
 
-    return (
-        events.select_columns([key_col, ts_col, type_col])
-        .groupby(key_col)
-        .map_groups(per_key, batch_format="pandas")
-    )
+    return by_key(events.select_columns([key_col, ts_col, type_col]), key_col, funnel)
 
 
 def hopping_window_agg(

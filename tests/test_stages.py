@@ -9,6 +9,7 @@ import ray.data
 
 from entity_context_crawler_ray.stages import (
     dedup,
+    exchange,
     media,
     relational,
     similarity,
@@ -55,6 +56,18 @@ def test_exact_dedup():
     assert len(dup_row) == 1 and dup_row["min_doc_id"].iloc[0] == 1
     first = dedup.exact_dedup_first(_docs_ds()).to_pandas()
     assert sorted(first["doc_id"]) == [1, 2, 3]
+
+
+def test_block_pairs_match_pairwise_loop():
+    rng = np.random.default_rng(5)
+    t = pa.table({"doc_id": rng.permutation(60), "band_key": rng.integers(0, 12, 60)})
+    got = dedup._block_pairs(t)
+    want = []
+    for key in sorted(set(t["band_key"].to_pylist())):
+        ids = sorted(d for d, k in zip(t["doc_id"].to_pylist(), t["band_key"].to_pylist()) if k == key)
+        want += [(ids[i], ids[j]) for i in range(len(ids)) for j in range(i + 1, len(ids))]
+    assert sorted(zip(got["a"].to_pylist(), got["b"].to_pylist())) == sorted(want)
+    assert got.schema.field("a").type == t["doc_id"].type
 
 
 def test_minhash_finds_near_dups():
@@ -136,12 +149,12 @@ def test_embedding_neardup():
     assert set(map(tuple, pairs[["vec_id_a", "vec_id_b"]].to_numpy())) == {(10, 20)}
 
 
-def test_hash_join_bucketed_matches_pandas():
+def test_join_matches_pandas():
     left = pd.DataFrame({"k": [1, 2, 2, 3, 5], "lv": ["a", "b", "c", "d", "e"]})
     right = pd.DataFrame({"k": [2, 3, 3, 4], "rv": [10.0, 20.0, 30.0, 40.0]})
     out = (
-        relational.hash_join_bucketed(
-            ray.data.from_pandas(left), ray.data.from_pandas(right), on="k", num_buckets=4
+        exchange.join(
+            ray.data.from_pandas(left), ray.data.from_pandas(right), on="k"
         )
         .to_pandas()
         .sort_values(["k", "lv", "rv"])
@@ -160,6 +173,10 @@ def test_broadcast_joins():
     assert sorted(out["name"]) == ["x", "y"]
     semi = relational.broadcast_semi_join(ds, {1, 3}, on="k").to_pandas()
     assert sorted(semi["k"]) == [1, 3]
+    # null keys never match, not even a null in the key set
+    with_null = ray.data.from_arrow(pa.table({"k": pa.array([1, None, 3], pa.int64())}))
+    assert relational.broadcast_semi_join(with_null, {1, None}, on="k").to_pandas()["k"].tolist() == [1]
+    assert relational.broadcast_semi_join(ds, set(), on="k").count() == 0
 
 
 def test_windows_and_sessions():
@@ -538,16 +555,16 @@ def test_bpe_token_count_known_values():
         assert "".join(textstats._BPE_RE.findall(s)) == s
 
 
-def test_anti_join_bucketed_matches_pandas():
+def test_join_anti_matches_pandas():
     left = pd.DataFrame({"k": [1, 2, 2, 3, 5], "lv": ["a", "b", "c", "d", "e"]})
     right = pd.DataFrame({"rk": [2, 3, 3, 4], "rv": [10.0, 20.0, 30.0, 40.0]})
     out = (
-        relational.anti_join_bucketed(
+        exchange.join(
             ray.data.from_pandas(left),
             ray.data.from_pandas(right),
             on="k",
             right_on="rk",
-            num_buckets=4,
+            how="anti",
         )
         .to_pandas()
         .sort_values(["k", "lv"])
@@ -560,11 +577,12 @@ def test_anti_join_bucketed_matches_pandas():
     )
     pd.testing.assert_frame_equal(out[expect.columns], expect)
     # empty right side: everything survives
-    out2 = relational.anti_join_bucketed(
+    out2 = exchange.join(
         ray.data.from_pandas(left),
         ray.data.from_pandas(right[right["rk"] < 0]),
         on="k",
         right_on="rk",
+        how="anti",
     ).to_pandas()
     assert len(out2) == len(left)
 
@@ -1124,13 +1142,13 @@ def test_new_ops_empty_and_edge_inputs():
     assert len(one) == 3 and set(one["sum_cents"]) == {100}
 
 
-def test_hash_join_bucketed_left_outer():
+def test_join_left_outer():
     left = ray.data.from_items(
         [{"k": 1, "x": "a"}, {"k": 2, "x": "b"}, {"k": 3, "x": "c"}]
     )
     right = ray.data.from_items([{"k": 1, "y": 10}, {"k": 1, "y": 11}])
     out = (
-        relational.hash_join_bucketed(left, right, on="k", how="left")
+        exchange.join(left, right, on="k", how="left")
         .to_pandas()
         .sort_values(["k", "y"])
         .reset_index(drop=True)
@@ -1140,7 +1158,48 @@ def test_hash_join_bucketed_left_outer():
     assert out[out["k"] == 1]["y"].tolist() == [10, 11]
     assert out[out["k"] > 1]["y"].isna().all()
     with pytest.raises(ValueError, match="how"):
-        relational.hash_join_bucketed(left, right, on="k", how="outer")
+        exchange.join(left, right, on="k", how="sideways")
+
+
+def test_join_right_side_with_empty_blocks():
+    # Ray 2.49's native Dataset.join raised ArrowInvalid on empty
+    # right-side blocks (a filtered frontier carries them)
+    left = ray.data.from_arrow(pa.table({"k": [1, 2, 3, 4], "x": ["a", "b", "c", "d"]}))
+    right = ray.data.from_arrow(
+        [
+            pa.table({"k": [2, 4], "y": [20, 40]}),
+            pa.table({"k": pa.array([], pa.int64()), "y": pa.array([], pa.int64())}),
+            pa.table({"k": [4], "y": [41]}),
+            pa.table({"k": pa.array([], pa.int64()), "y": pa.array([], pa.int64())}),
+        ]
+    )
+    inner = exchange.join(left, right, on="k").to_pandas().sort_values(["k", "y"])
+    assert inner[["k", "x", "y"]].values.tolist() == [[2, "b", 20], [4, "d", 40], [4, "d", 41]]
+    outer = exchange.join(left, right, on="k", how="left").to_pandas()
+    assert sorted(outer["k"]) == [1, 2, 3, 4, 4]
+    assert outer[outer["k"].isin([1, 3])]["y"].isna().all()
+    anti = exchange.join(left, right, on="k", how="anti").to_pandas()
+    assert sorted(anti["k"]) == [1, 3]
+
+
+def test_join_keeps_nested_payload():
+    # Arrow's hash join rejects list columns outside the key; the join
+    # gathers payload by row index instead, so embeddings pass through
+    left = ray.data.from_arrow(
+        pa.table({"vec_id": [1, 2, 3], "embedding": [[0.1, 0.2], [0.3], [0.4, 0.5, 0.6]]})
+    )
+    right = ray.data.from_arrow(
+        pa.table({"id": [3, 1], "tags": [["x"], ["y", "z"]], "label": [30, 10]})
+    )
+    out = (
+        exchange.join(left, right, on="vec_id", right_on="id")
+        .to_pandas()
+        .sort_values("vec_id")
+    )
+    assert list(out.columns) == ["vec_id", "embedding", "tags", "label"]
+    assert [list(e) for e in out["embedding"]] == [[0.1, 0.2], [0.4, 0.5, 0.6]]
+    assert [list(t) for t in out["tags"]] == [["y", "z"], ["x"]]
+    assert out["label"].tolist() == [10, 30]
 
 
 def test_value_rank_ties_and_guard():
