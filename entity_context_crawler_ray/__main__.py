@@ -185,7 +185,6 @@ def cmd_crawl(args) -> int:
         capacity=args.capacity,
         refill=args.refill,
         refill_per_sec=args.refill_per_sec,
-        seen_filter=args.seen_filter,
         doc_store_partitions=args.partitions,
         max_rounds=args.max_rounds,
     )
@@ -277,13 +276,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p3.add_argument("--ckpt-dir", default=None)
     p3.add_argument("--resume", action="store_true")
     p3.add_argument("--overwrite", action="store_true")
-    p3.add_argument(
-        "--seen-filter",
-        dest="seen_filter",
-        choices=["bloom", "cuckoo"],
-        default="bloom",
-        help="URL-seen filter: bloom (default) or cuckoo (supports delete)",
-    )
     p3.add_argument(
         "--refill-per-sec",
         dest="refill_per_sec",

@@ -118,7 +118,7 @@ def fingerprint(batch: pa.Table, text_col: str = "text", shingle: int = 5) -> pa
     doc_of = np.repeat(
         np.arange(len(texts)), np.diff(np.append(starts, len(hi)))
     )
-    lo_masked = np.where(hi == min_hi[doc_of], lo, np.uint64(-1))
+    lo_masked = np.where(hi == min_hi[doc_of], lo, np.iinfo(np.uint64).max)
     min_lo = np.minimum.reduceat(lo_masked, starts)
     fps = np.char.add(
         np.char.mod("%016x", min_hi), np.char.mod("%016x", min_lo)

@@ -1,19 +1,18 @@
-"""Sharded bloom URL-seen filter (north_rule; no reference
+"""Bloom URL-seen filter shard (north_rule; no reference
 counterpart — the reference's implicit seen-set is the pages PK,
 dao/matches_db.py:42).
 
-Shard ``hash(url) % num_shards`` holds a packed bitarray bloom filter
-of the URLs it has seen.  Shards are deployed as Ray actors
-(``BloomShardActor``); the pure-Python ``BloomShard`` class is shared
-with the crawl-parity simulator and the unit tests.
+A ``BloomShard`` is a packed bitarray bloom filter of the URLs one
+crawl state shard has seen: the shard that owns a URL's host
+(state/shard.py), so scheduling a host's frontier bucket probes its
+own filter with no round trip.  The crawl splits one bit budget
+(``num_bloom_shards × bloom_bits``) over its state shards.
 
 Sizing: with m bits, k hashes and n inserted keys the FPR is
-``(1 - e^(-kn/m))^k``; defaults (m = 2^22 bits/shard, k = 7) hold
-~300k URLs/shard at < 1e-4 FPR.  At the 10^10-URL design point, scale
-``num_shards`` with the cluster (shard count ∝ nodes) and ``num_bits``
-to ~2^33 per shard (1 GiB) for the same FPR — the protocol below is
-shard-count-agnostic because every client routes by the same stable
-hash.
+``(1 - e^(-kn/m))^k`` (``estimated_fpr``); m = 2^22 bits, k = 7 hold
+~300k URLs at < 1e-4 FPR.  At the 10^10-URL design point, scale the
+shard count with the cluster and the budget to ~2^33 bits per shard
+(1 GiB) for the same FPR.
 
 Idempotence: ``probe`` is read-only; ``set_seen`` is a pure
 bit-OR, so re-applying a retried batch is a no-op — task retries
@@ -23,12 +22,10 @@ cannot double-mark or lose URLs (SURVEY.md §7.5(4)).
 from __future__ import annotations
 
 import hashlib
+import math
 from typing import Dict, List, Sequence
 
 import numpy as np
-import ray
-
-from ..functions.hashing import stable_hash64
 
 DEFAULT_NUM_BITS = 1 << 22
 DEFAULT_NUM_HASHES = 7
@@ -81,6 +78,11 @@ class BloomShard:
         self.count += len(urls)
         return self.count
 
+    def estimated_fpr(self) -> float:
+        """Designed false-positive rate at the current insert count."""
+        k = self.num_hashes
+        return (1.0 - math.exp(-k * self.count / self.num_bits)) ** k
+
     # --- checkpoint -------------------------------------------------------
 
     def snapshot(self) -> Dict:
@@ -95,51 +97,3 @@ class BloomShard:
         assert snap["num_bits"] == self.num_bits and snap["num_hashes"] == self.num_hashes
         self.bits = np.frombuffer(snap["bits"], dtype=np.uint8).copy()
         self.count = snap["count"]
-
-
-BloomShardActor = ray.remote(num_cpus=0)(BloomShard)
-
-
-class ShardedSeenFilter:
-    """Client over N bloom shard actors; routes by stable url hash.
-
-    Batched fan-out: one actor call per touched shard per operation."""
-
-    def __init__(self, handles: List):
-        self.handles = handles
-        self.n = len(handles)
-
-    def _route(self, urls: Sequence[str]) -> Dict[int, List[int]]:
-        by_shard: Dict[int, List[int]] = {}
-        for i, url in enumerate(urls):
-            by_shard.setdefault(stable_hash64("bloom-shard", url) % self.n, []).append(i)
-        return by_shard
-
-    def probe(self, urls: Sequence[str]) -> List[bool]:
-        by_shard = self._route(urls)
-        futs = {
-            s: self.handles[s].probe.remote([urls[i] for i in idxs])
-            for s, idxs in by_shard.items()
-        }
-        out = [False] * len(urls)
-        for s, idxs in by_shard.items():
-            for i, seen in zip(idxs, ray.get(futs[s])):
-                out[i] = seen
-        return out
-
-    def set_seen(self, urls: Sequence[str]) -> None:
-        by_shard = self._route(urls)
-        ray.get(
-            [
-                self.handles[s].set_seen.remote([urls[i] for i in idxs])
-                for s, idxs in by_shard.items()
-            ]
-        )
-
-    def snapshot(self) -> List[Dict]:
-        return ray.get([h.snapshot.remote() for h in self.handles])
-
-    def restore(self, snaps: List[Dict]) -> None:
-        ray.get(
-            [h.restore.remote(s) for h, s in zip(self.handles, snaps)]
-        )

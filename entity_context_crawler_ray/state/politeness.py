@@ -7,10 +7,10 @@ One ``HostPolicy`` per host: a token bucket (``capacity`` tokens,
 time in the dump-driven sandbox) plus a robots model (deny-prefixes
 and an optional per-host ``crawl_budget`` = lifetime fetch cap).
 
-Buckets live in ``PolitenessShard`` actors keyed by
-``hash(host) % num_shards`` — actor count scales with the number of
-distinct hosts, not with URL volume.  The pure class is reused by the
-crawl-parity simulator.
+A ``PolitenessShard`` holds the buckets of every host with
+``politeness_shard_of(host) == s``; the crawl keeps it inside state
+shard ``s`` (state/shard.py), beside that shard's seen filter.  The
+pure ``HostPolicy`` class is reused by the crawl-parity simulator.
 
 Determinism / idempotence: ``admit`` is called exactly once per
 (round, host) because the crawl loop groups candidates by host before
@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-import ray
 
 from ..functions.hashing import stable_hash64
 
@@ -186,12 +184,12 @@ class PolitenessShard:
     def admit_many(
         self, round_id: int, hosts: List[str], url_lists: List[List[str]]
     ) -> List[List[str]]:
-        """ONE actor call per (frontier bucket, round): admit every host
-        in the bucket at once, returning per-host status lists aligned
-        with the input url order ('admit' | 'defer' | 'deny').  Each
-        url list must arrive sorted by (priority desc, url asc); the
-        per-host decisions go through the same idempotent cache as
-        ``admit``, so a retried bucket task replays identical results."""
+        """Admit every host of one frontier bucket at once, returning
+        per-host status lists aligned with the input url order ('admit'
+        | 'defer' | 'deny').  Each url list must arrive sorted by
+        (priority desc, url asc); the per-host decisions go through the
+        same idempotent cache as ``admit``, so a retried bucket replays
+        identical results."""
         out: List[List[str]] = []
         for host, urls in zip(hosts, url_lists):
             adm, dfr, den = self.admit(round_id, host, urls)
@@ -221,7 +219,7 @@ class PolitenessShard:
     def refund_many(
         self, round_id: int, host_counts: Dict[str, int], source: str = "global"
     ) -> None:
-        """One call per shard per round: refund every host at once."""
+        """Refund every host of one source at once."""
         for host, n in host_counts.items():
             self.refund(round_id, host, n, source)
 
@@ -260,9 +258,6 @@ class PolitenessShard:
             pol.fetched_total = st["fetched_total"]
             pol.last_round = st["last_round"]
             pol.last_time = st.get("last_time")
-
-
-PolitenessShardActor = ray.remote(num_cpus=0)(PolitenessShard)
 
 
 def politeness_shard_of(host: str, num_shards: int) -> int:

@@ -1,5 +1,6 @@
-"""Crawl machinery tests: bloom shards, politeness, ordering parity
-vs the pure-Python simulator, checkpoint/resume, hot-bucket presplit."""
+"""Crawl machinery tests: bloom shards, politeness, state shards,
+ordering parity vs the pure-Python simulator, checkpoint/resume,
+hot-bucket presplit."""
 
 import glob
 import os
@@ -386,47 +387,6 @@ def test_doc_store_lookup(store_and_inputs):
         ]
 
 
-def test_cuckoo_shard_basics():
-    from entity_context_crawler_ray.state.cuckoo import CuckooShard
-
-    c = CuckooShard(num_buckets=1 << 10)
-    urls = [f"u{i}" for i in range(500)]
-    assert c.probe(urls) == [False] * 500
-    c.set_seen(urls[:250])
-    probed = c.probe(urls)
-    assert probed[:250] == [True] * 250
-    assert sum(probed[250:]) <= 2  # tiny FP allowance
-    # idempotent insert, then delete support (the bloom can't do this)
-    c.set_seen(urls[:250])
-    assert c.delete("u0") and not c.contains("u0")
-    assert not c.delete("u0")
-    snap = c.snapshot()
-    c2 = CuckooShard(num_buckets=1 << 10)
-    c2.restore(snap)
-    assert c2.probe(urls[:10]) == c.probe(urls[:10])
-
-
-def test_cuckoo_saturation_no_false_negatives():
-    """Regression: at table saturation the failed kick chain used to
-    drop the in-flight evicted victim fingerprint — a previously
-    inserted url silently forgotten.  The chain is now unwound before
-    spilling, so EVERY inserted url must still probe seen."""
-    from entity_context_crawler_ray.state.cuckoo import CuckooShard
-
-    c = CuckooShard(num_buckets=8)  # 32 slots << 200 urls: saturates
-    urls = [f"u{i}" for i in range(200)]
-    c.set_seen(urls)
-    assert all(c.probe(urls)), "saturated cuckoo shard lost inserted urls"
-    assert c.count == 200
-    # the overflow-spilled url lives in overflow ONLY: one delete
-    # succeeds, a second returns False, and count stays consistent
-    for u in urls:
-        assert c.delete(u)
-    for u in urls:
-        assert not c.contains(u) or c.count >= 0  # no double-representation
-    assert c.count <= 2  # fp-collision slack only
-
-
 def test_host_policy_refund_restores_lifetime_budget():
     """Regression: URLs admitted per-host but cut by the global round
     budget used to consume the host's lifetime crawl_budget without a
@@ -487,29 +447,6 @@ def test_politeness_shard_refund_idempotent():
     s.refund_many(0, {"h": 2})
     s.refund_many(0, {"h": 2})  # retried call: must not double-refund
     assert s.hosts["h"].fetched_total == 2
-
-
-def test_crawl_with_cuckoo_filter(store_and_inputs):
-    """Same crawl, cuckoo seen-filter: identical fetch log."""
-    store, ref, docs_local, idx, seeds = store_and_inputs
-    kw = dict(
-        max_depth=1,
-        round_budget=40,
-        capacity=5,
-        refill=3,
-        num_bloom_shards=2,
-        num_politeness_shards=2,
-        doc_store_partitions=8,
-        max_rounds=40,
-    )
-    _, out_bloom = _run(store, ref, seeds, CrawlConfig(**kw), "bloomf")
-    _, out_cuckoo = _run(
-        store, ref, seeds, CrawlConfig(seen_filter="cuckoo", **kw), "cuckoof"
-    )
-    pd.testing.assert_frame_equal(
-        _read_fetch_log(out_bloom)[["round", "rank", "url"]],
-        _read_fetch_log(out_cuckoo)[["round", "rank", "url"]],
-    )
 
 
 def test_crawl_depth2_matches_simulator(store_and_inputs):
@@ -826,3 +763,240 @@ def test_resume_after_completed_bucketed_crawl_is_noop(store_and_inputs, tmp_pat
     m2 = crawl(store, seeds, ref, out, cfg, ckpt_dir=ckpt, resume=True)
     assert m2["urls_fetched"] == 0
     pd.testing.assert_frame_equal(_read_fetch_log(out), log1)
+
+
+# --- crawl state shards ---------------------------------------------------
+
+
+def _shard_bucket_fixture(tmp_path):
+    """One frontier bucket on disk (final rows + link partials over
+    three hosts, one url already seen) and the config that makes every
+    branch of the schedule body fire: robots deny, lifetime budget,
+    token deferral and the local top-budget cut."""
+    from entity_context_crawler_ray.state.frontier import (
+        CANDIDATE_SCHEMA,
+        frontier_bucket_of,
+    )
+
+    num_shards, num_buckets = 1, 1
+    hosts = ["ha", "hb", "hc"]
+    assert {frontier_bucket_of(h, num_buckets, num_shards) for h in hosts} == {0}
+    rows = []
+    for h in hosts:
+        for i in range(6):
+            rows.append((f"{h}/p{i}", h, float(i % 3), 1, -1, 0))
+            rows.append((f"{h}/p{i}", h, 0.0, 2, i, i % 2))  # partial
+    rows.append(("hb/private/x", "hb", 9.0, 0, -1, 0))
+    cols = list(zip(*rows))
+    t = pa.table(
+        {f.name: pa.array(c, f.type) for f, c in zip(CANDIDATE_SCHEMA, cols)}
+    )
+    in_dir = tmp_path / "in"
+    (in_dir / "bucket=0").mkdir(parents=True)
+    pq.write_table(t.slice(0, 20), in_dir / "bucket=0" / "a.parquet")
+    pq.write_table(t.slice(20), in_dir / "bucket=0" / "b.parquet")
+    pol_cfg = {
+        "capacity": 4,
+        "refill": 2,
+        "deny": {"hb": ["hb/private"]},
+        "budget": {"hc": 3},
+    }
+    return str(in_dir), pol_cfg, num_shards, num_buckets
+
+
+def _reference_schedule_bucket(
+    bloom, pol, round_id, in_dir, next_dir, bucket, num_buckets, num_shards,
+    round_budget, entity_bonus,
+):
+    """The schedule body as it ran before the state shards: separate
+    BloomShard and PolitenessShard objects, probe → admit_many →
+    split → local top-budget cut with a source-tagged refund."""
+    import pyarrow.compute as pc
+
+    from entity_context_crawler_ray.state.frontier import (
+        as_candidates,
+        combine_candidates,
+        write_bucketed,
+    )
+
+    files = sorted(glob.glob(os.path.join(in_dir, f"bucket={bucket}", "*.parquet")))
+    cand = combine_candidates(
+        pa.concat_tables([pq.read_table(f) for f in files]), entity_bonus
+    )
+    seen = bloom.probe(cand["url"].to_pylist())
+    cand = cand.filter(pa.array([not x for x in seen]))
+    cand = cand.take(
+        pc.sort_indices(
+            cand,
+            sort_keys=[("host", "ascending"), ("priority", "descending"), ("url", "ascending")],
+        )
+    )
+    hosts, urls = cand["host"].to_pylist(), cand["url"].to_pylist()
+    runs, start = [], 0
+    for i in range(1, len(hosts) + 1):
+        if i == len(hosts) or hosts[i] != hosts[start]:
+            runs.append((hosts[start], start, i))
+            start = i
+    statuses = pol.admit_many(round_id, [h for h, _, _ in runs], [urls[s:e] for _, s, e in runs])
+    admit_i, defer_i, n_denied = [], [], 0
+    for (_, s, _), stats in zip(runs, statuses):
+        for i, st in enumerate(stats, s):
+            if st == "admit":
+                admit_i.append(i)
+            elif st == "defer":
+                defer_i.append(i)
+            else:
+                n_denied += 1
+    admitted = cand.take(pa.array(admit_i, pa.int64()))
+    defer_parts = []
+    if admitted.num_rows > round_budget:
+        admitted = admitted.take(
+            pc.sort_indices(admitted, sort_keys=[("priority", "descending"), ("url", "ascending")])
+        )
+        cut = admitted.slice(round_budget)
+        admitted = admitted.slice(0, round_budget)
+        per_host = {}
+        for h in cut["host"].to_pylist():
+            per_host[h] = per_host.get(h, 0) + 1
+        pol.refund_many(round_id, per_host, f"local:{bucket}")
+        defer_parts.append(cut)
+    defer_parts.append(cand.take(pa.array(defer_i, pa.int64())))
+    n_deferred = write_bucketed(
+        as_candidates(pa.concat_tables(defer_parts)),
+        next_dir, f"defer-{bucket}", num_buckets, num_shards,
+    )
+    return admitted, n_denied, len(admit_i), n_deferred
+
+
+def test_state_shard_schedule_bucket_equals_separate_state(tmp_path):
+    """In-process, no Ray: a CrawlStateShard scheduling one bucket makes
+    the same admit/defer/deny split, writes the same deferral file and
+    leaves the same politeness state as the separate BloomShard +
+    PolitenessShard path it replaces."""
+    from entity_context_crawler_ray.state.politeness import PolitenessShard
+    from entity_context_crawler_ray.state.shard import CrawlStateShard
+
+    in_dir, pol_cfg, num_shards, num_buckets = _shard_bucket_fixture(tmp_path)
+    round_budget, bonus, bits = 5, 10.0, 1 << 16
+    already = ["ha/p0", "hc/p5"]
+
+    shard = CrawlStateShard(bits, pol_cfg, num_shards, round_budget, bonus)
+    shard.commit(-1, already, {})
+    bloom = BloomShard(bits)
+    bloom.set_seen(already)
+    pol = PolitenessShard(pol_cfg)
+
+    got = shard.schedule_bucket(0, in_dir, str(tmp_path / "new"), 0, num_buckets)
+    want = _reference_schedule_bucket(
+        bloom, pol, 0, in_dir, str(tmp_path / "old"), 0, num_buckets, num_shards,
+        round_budget, bonus,
+    )
+    assert got[0].equals(want[0])
+    assert got[1:] == want[1:]
+    n_denied, n_admitted, n_deferred = got[1:]
+    # every branch fired: deny, budget-deny, token deferral, local cut
+    assert n_denied >= 2 and n_admitted > round_budget and n_deferred > 0
+    assert got[0].num_rows == round_budget
+    assert not set(got[0]["url"].to_pylist()) & set(already)
+    new = pq.read_table(tmp_path / "new" / "bucket=0" / "defer-0.parquet")
+    old = pq.read_table(tmp_path / "old" / "bucket=0" / "defer-0.parquet")
+    assert new.equals(old)
+    assert shard.politeness.snapshot() == pol.snapshot()
+
+
+def test_state_shard_snapshot_restore_roundtrip(tmp_path):
+    """A shard restored from its snapshot (through the checkpoint's
+    JSON + pickle encodings) probes, admits and schedules exactly like
+    the shard it was taken from."""
+    import json
+    import pickle
+
+    from entity_context_crawler_ray.state.shard import CrawlStateShard
+
+    in_dir, pol_cfg, num_shards, num_buckets = _shard_bucket_fixture(tmp_path)
+    a = CrawlStateShard(1 << 16, pol_cfg, num_shards, 5, 10.0)
+    admitted, *_ = a.schedule_bucket(0, in_dir, str(tmp_path / "r0"), 0, num_buckets)
+    fetched = admitted["url"].to_pylist()
+    snap = a.commit(0, fetched[:3], {"ha": 1}, snapshot=True)
+    assert snap == a.snapshot()
+
+    b = CrawlStateShard(1 << 16, pol_cfg, num_shards, 5, 10.0)
+    b.restore(
+        pickle.loads(pickle.dumps(snap["bloom"])),
+        json.loads(json.dumps(snap["politeness"])),
+    )
+    assert b.stats() == a.stats()
+    assert b.stats()["bloom_inserts"] == 3 and 0.0 < b.stats()["bloom_fpr_est"] < 1e-6
+    probe = fetched + ["ha/p9", "hz/none"]
+    assert b.probe(probe) == a.probe(probe)
+    assert b.politeness.snapshot() == a.politeness.snapshot()
+    # the next round schedules identically on both
+    ra = a.schedule_bucket(1, in_dir, str(tmp_path / "a1"), 0, num_buckets)
+    rb = b.schedule_bucket(1, in_dir, str(tmp_path / "b1"), 0, num_buckets)
+    assert ra[0].equals(rb[0]) and ra[1:] == rb[1:]
+    # bits keyed by url hash (an older checkpoint) are refused, not
+    # silently restored into host-keyed shards
+    old_bits = {k: v for k, v in snap["bloom"].items() if k != "sharded_by"}
+    with pytest.raises(ValueError, match="not sharded by host"):
+        CrawlStateShard(1 << 16, pol_cfg, num_shards, 5, 10.0).restore(
+            old_bits, snap["politeness"]
+        )
+
+
+def test_crawl_resume_equivalence_uneven_bloom_budget(store_and_inputs):
+    """Three state shards share a four-filter bit budget that does not
+    split evenly: the crawl still equals the simulator, starts one state
+    actor per politeness shard, and resuming after round 1 reproduces
+    the uninterrupted fetch log and page rows."""
+    store, ref, docs_local, idx, seeds = store_and_inputs
+    kw = dict(
+        max_depth=1,
+        round_budget=30,
+        capacity=4,
+        refill=2,
+        num_bloom_shards=4,
+        num_politeness_shards=3,
+        doc_store_partitions=8,
+    )
+    m_full, out_full = _run(
+        store, ref, seeds, CrawlConfig(max_rounds=40, **kw), "uneven_full", ckpt=True
+    )
+    sim = simulate_crawl(
+        docs_local,
+        list(zip(seeds["url"].to_pylist(), seeds["priority"].to_pylist())),
+        idx["title_to_eid"],
+        CrawlConfig(max_rounds=40, **kw),
+    )
+    full_log = _read_fetch_log(out_full)
+    assert list(zip(full_log["round"], full_log["rank"], full_log["url"])) == sim["fetch_log"]
+    shards = m_full["state_shards"]
+    assert len(shards) == 3
+    # the budget is split in whole bytes, unevenly, and none is lost
+    bits = [s["bloom_bits"] for s in shards]
+    assert sum(bits) == 4 * CrawlConfig().bloom_bits and len(set(bits)) == 2
+    assert all(b % 8 == 0 for b in bits)
+    assert sum(s["bloom_inserts"] for s in shards) == m_full["urls_fetched"]
+    for key in ("setup_s", "checkpoint_s", "teardown_s", "wall_sec"):
+        assert m_full[key] >= 0.0
+
+    m_a, out_part = _run(
+        store, ref, seeds, CrawlConfig(max_rounds=2, **kw), "uneven_part", ckpt=True
+    )
+    m_b, _ = _run(
+        store, ref, seeds, CrawlConfig(max_rounds=40, **kw), "uneven_part",
+        ckpt=True, resume=True,
+    )
+    assert m_b["urls_fetched"] > 0
+    pd.testing.assert_frame_equal(
+        full_log[["round", "rank", "url"]],
+        _read_fetch_log(out_part)[["round", "rank", "url"]],
+    )
+    assert m_full["urls_fetched"] == m_a["urls_fetched"] + m_b["urls_fetched"]
+    n_full, n_part = (
+        pads.dataset(
+            o, format="parquet", partitioning="hive",
+            ignore_prefixes=["fetch_log", "_", ".", "frontier"],
+        ).count_rows()
+        for o in (out_full, out_part)
+    )
+    assert n_full == n_part
