@@ -10,11 +10,11 @@ rounds, with
   holding the bloom **seen-filter** bits (state/bloom.py) and the
   per-host **politeness token buckets + robots budgets**
   (state/politeness.py) of the hosts it owns; the shard also
-  schedules the frontier buckets of those hosts (owner computes), so a
+  schedules the frontier bucket of those hosts (owner computes), so a
   round makes one ``schedule`` and one ``commit`` call per shard and
-  no other state round trip.  Hot buckets are first pre-truncated per
-  url-hash slice to each host's top-capacity (the exact-top-K combiner
-  trick, SURVEY.md §7.4),
+  no other state round trip, and the shards schedule in parallel.  A
+  hot bucket is first pre-truncated per url-hash slice to each host's
+  top-capacity (the exact-top-K combiner trick, SURVEY.md §7.4),
 - a global **priority + round budget** split, deterministic via
   (priority desc, url asc) ordering — per-bucket local top-budget
   truncation + a bounded driver merge,
@@ -24,8 +24,8 @@ rounds, with
   the stage-1 matcher per fetched page (stages/match.py), writes the
   page parquet and writes its out-links into the next round's frontier
   buckets,
-- a **storage-resident frontier**: bucketed-by-host parquet dirs
-  between rounds, written in place by the producers
+- a **storage-resident frontier**: one parquet dir per state shard
+  (its hosts' candidates) between rounds, written in place by the producers
   (partition-on-write, state/frontier.py); the driver never holds the
   frontier,
 - per-round **checkpoints** (frontier dir reference + bloom/
@@ -81,7 +81,8 @@ from ..state.frontier import (
     write_bucketed,
 )
 from ..state.politeness import politeness_shard_of
-from ..state.shard import CrawlStateShardActor, split_bloom_bits
+from ..state.bloom import url_hashes
+from ..state.shard import CrawlStateShardActor
 from ..state.storage import get_store
 
 LINK_ITEM = pa.struct([("target", pa.string()), ("is_entity", pa.bool_())])
@@ -98,16 +99,21 @@ class CrawlConfig:
     refill_per_sec: Optional[float] = None
     deny: Dict[str, List[str]] = field(default_factory=dict)    # host -> url prefixes
     host_budget: Dict[str, int] = field(default_factory=dict)   # host -> lifetime cap
-    # seen-filter bit budget: num_bloom_shards × bloom_bits bits in
-    # total, split over the num_politeness_shards state shards
+    # seen-filter size: EACH state shard's filter holds
+    # num_bloom_shards × bloom_bits bits, because a host-skewed crawl can
+    # put nearly every URL in one shard (state/bloom.py)
     num_bloom_shards: int = 4
     bloom_bits: int = 1 << 22
+    # state shards: one actor each, owning one frontier bucket.  The
+    # shards schedule a round in parallel, so raise this with the
+    # cluster, up to about one per CPU: each is a process to start (on
+    # 4 CPUs, 16 shards ran the bench.py crawl 1.9× slower than 4)
     num_politeness_shards: int = 2
     # Distributed pre-scheduling of HOT buckets (default-on): a
     # single-domain crawl funnels every candidate into one frontier
     # bucket (bucket = f(host)), so one state shard would do all the
     # combine/probe/sort work.  Buckets whose on-disk candidate bytes
-    # exceed presplit_factor/num_buckets of the round total AND
+    # exceed presplit_factor/num_politeness_shards of the round total AND
     # presplit_min_bytes are pre-processed by a wave of url-hash-sliced
     # tasks (combine → bloom probe → robots-deny → per-host
     # top-capacity truncation) that leave compact presched files for
@@ -121,22 +127,6 @@ class CrawlConfig:
     doc_store_partitions: int = 32
     preload_store: bool = True       # pin partitions in plasma (zero-copy fetch)
     max_rounds: int = 64             # safety backstop
-    # bucketed-frontier fan-out: num_politeness_shards × this many
-    # buckets (each bucket is one file set per producer and one unit of
-    # its shard's schedule call).  0 = auto: ~1 bucket per 8 cluster
-    # CPUs (measured: 32 buckets ran 2× slower than 4 on a 32-CPU box;
-    # a 256-node cluster auto-sizes to ~1024).
-    frontier_buckets_per_shard: int = 0
-
-    def num_frontier_buckets(self) -> int:
-        per_shard = self.frontier_buckets_per_shard
-        if per_shard <= 0:
-            try:
-                cpus = int(ray.cluster_resources().get("CPU", 8))
-            except Exception:  # noqa: BLE001
-                cpus = 8
-            per_shard = max(1, cpus // (8 * self.num_politeness_shards))
-        return self.num_politeness_shards * per_shard
 
 
 # Fetch tasks run on Ray's task workers, which Ray reuses across tasks
@@ -229,7 +219,6 @@ def _fetch_extract_task(
     round_dir: str,
     links_dir: str,
     max_depth: int,
-    num_buckets: int,
     num_shards: int,
 ) -> Tuple[int, int, str, int]:
     """Fetch + extract one slice of the round's fetch set, write its
@@ -295,7 +284,7 @@ def _fetch_extract_task(
             "is_entity": pc.cast(agg["is_entity_max"], pa.int8()),
         }
     )
-    n_link_rows = write_bucketed(cand, links_dir, f"links-{fname}", num_buckets, num_shards)
+    n_link_rows = write_bucketed(cand, links_dir, f"links-{fname}", num_shards)
     n_fetched = pc.sum(pc.cast(out["fetched"], pa.int64())).as_py() or 0
     return n_fetched, n_link_rows, fname, pages.num_rows
 
@@ -309,11 +298,11 @@ def _presplit_task(
     next_dir: str,
     shard,
     config: CrawlConfig,
-    num_buckets: int,
 ) -> Tuple[int, int]:
     """Wave-0 pre-scheduling of one url-hash SLICE of a hot bucket:
-    combine partials → bloom probe (one call to the bucket's owning
-    ``shard``) → robots-deny → per-host sort + top-capacity
+    combine partials → bloom probe (the slice hashes its urls, the
+    bucket's owning ``shard`` looks the hashes up) → robots-deny →
+    per-host sort + top-capacity
     truncation.  Survivors land as a compact ``presched-{slice}`` file
     the owning shard merges; the truncated tail is deferred to the next
     round.  Exact because (a) every copy/partial of a url shares its
@@ -339,7 +328,7 @@ def _presplit_task(
     )
     cand = combine_candidates(mine, config.entity_bonus)
     if cand.num_rows:
-        seen = ray.get(shard.probe.remote(cand["url"].to_pylist()))
+        seen = ray.get(shard.probe_hashes.remote(url_hashes(cand["url"].to_pylist())))
         cand = cand.filter(pc.invert(pa.array(seen, pa.bool_())))
     n_denied = 0
     n_deferred = 0
@@ -377,7 +366,6 @@ def _presplit_task(
             as_candidates(cand.take(pa.array(defer_idx, pa.int64()))),
             next_dir,
             f"psdefer-{bucket}-{slice_id}",
-            num_buckets,
             config.num_politeness_shards,
         )
     keep = cand.take(pa.array(keep_idx, pa.int64()))
@@ -395,22 +383,16 @@ def _schedule_round(
     shards: List,
     config: CrawlConfig,
     round_id: int,
-    num_buckets: int,
 ):
     """Round scheduling over the bucketed frontier dir: one ``schedule``
-    call per state shard over the buckets it owns (``bucket %
-    num_shards``), then the driver's global (priority desc, url) merge
-    and budget cut.  Returns (fetch_tbl, deferred_rows_written,
+    call per state shard whose bucket holds candidates, all in
+    parallel, then the driver's global (priority desc, url) merge and
+    budget cut.  Returns (fetch_tbl, deferred_rows_written,
     n_denied, n_admitted, n_presplit_buckets, refunds), where
     ``refunds[s]`` = {host: n} are the admissions on shard ``s`` that
     the global cut deferred (refunded by the shard's ``commit``).
     Deferred rows never touch the driver beyond the global cut — they
-    are already on disk in ``next_dir`` when this returns.
-
-    ``num_buckets`` is resolved ONCE in crawl() and threaded through —
-    re-querying cluster CPUs per call site could give producers of the
-    same round dir different host→bucket mappings on an autoscaling
-    cluster, breaking the one-url-one-bucket invariant."""
+    are already on disk in ``next_dir`` when this returns."""
     bucket_ids = sorted(
         int(os.path.basename(p).split("=", 1)[1])
         for p in _glob.glob(os.path.join(in_dir, "bucket=*"))
@@ -422,7 +404,7 @@ def _schedule_round(
     # wave 0 (default-on): pre-schedule HOT buckets with url-hash
     # sliced tasks.  Detection is on-disk bucket byte skew — a
     # single-domain crawl funnels every candidate into one bucket, so
-    # that bucket's bytes dwarf total/num_buckets.  Byte sizes come
+    # that bucket's bytes dwarf total/num_shards.  Byte sizes come
     # from a directory stat, no reads.
     presplit: frozenset = frozenset()
     n_denied = 0
@@ -437,19 +419,17 @@ def _schedule_round(
     }
     total_bytes = sum(sizes.values())
     rel_cut = (
-        total_bytes * config.presplit_factor / num_buckets if num_buckets > 1 else 0.0
+        total_bytes * config.presplit_factor / num_shards if num_shards > 1 else 0.0
     )
     cut = max(rel_cut, float(config.presplit_min_bytes))
-    # >= so a fully-skewed layout still trips when num_buckets is
+    # >= so a fully-skewed layout still trips when num_shards is
     # small (one bucket holding everything == factor×fair-share exactly
-    # at num_buckets == factor)
+    # at num_shards == factor)
     hot = [b for b in bucket_ids if sizes[b] > 0 and sizes[b] >= cut]
     if hot:
         n_slices = max(int(config.presplit_slices), 1)
         pre_refs = [
-            _presplit_task.remote(
-                b, j, n_slices, in_dir, next_dir, shards[b % num_shards], config, num_buckets
-            )
+            _presplit_task.remote(b, j, n_slices, in_dir, next_dir, shards[b], config)
             for b in hot
             for j in range(n_slices)
         ]
@@ -458,13 +438,10 @@ def _schedule_round(
             n_deferred += nf
         presplit = frozenset(hot)
 
-    owned: Dict[int, List[int]] = {}
-    for b in bucket_ids:
-        owned.setdefault(b % num_shards, []).append(b)
     results = ray.get(
         [
-            shards[s].schedule.remote(round_id, in_dir, next_dir, bs, num_buckets, presplit)
-            for s, bs in owned.items()
+            shards[b].schedule.remote(round_id, in_dir, next_dir, b in presplit)
+            for b in bucket_ids
         ]
     )
     n_denied += sum(r[1] for r in results)
@@ -484,7 +461,7 @@ def _schedule_round(
         counts = refunds.setdefault(politeness_shard_of(h, num_shards), {})
         counts[h] = counts.get(h, 0) + 1
     n_deferred += write_bucketed(
-        as_candidates(cut), next_dir, "spill", num_buckets, num_shards
+        as_candidates(cut), next_dir, "spill", num_shards
     )
     return fetch_tbl, n_deferred, n_denied, n_admitted, len(presplit), refunds
 
@@ -537,16 +514,20 @@ def crawl(
         "deny": config.deny,
         "budget": config.host_budget,
     }
-    # one state actor per shard; the seen-filter bit budget is split
-    # over them (state/shard.py)
+    # one state actor per shard, each owning one frontier bucket
+    # (state/shard.py)
     shards = [
         CrawlStateShardActor.remote(
-            bits, pol_cfg, num_shards, config.round_budget, config.entity_bonus
+            s,
+            num_shards,
+            config.num_bloom_shards * config.bloom_bits,
+            pol_cfg,
+            config.round_budget,
+            config.entity_bonus,
         )
-        for bits in split_bloom_bits(config.num_bloom_shards * config.bloom_bits, num_shards)
+        for s in range(num_shards)
     ]
 
-    num_buckets = config.num_frontier_buckets()
     start_round = 0
     # The frontier lives on storage only: frontier_dir is the bucketed
     # parquet dir the next round schedules from, and frontier_rows its
@@ -578,7 +559,7 @@ def crawl(
         ).cast(FRONTIER_SCHEMA)
         frontier_dir = frontier_round_dir(out_dir, 0)
         frontier_rows = write_bucketed(
-            as_candidates(seed_tbl), frontier_dir, "seed", num_buckets, num_shards
+            as_candidates(seed_tbl), frontier_dir, "seed", num_shards
         )
         ready = [h.stats.remote() for h in shards]
 
@@ -629,7 +610,7 @@ def crawl(
             n_admitted,
             n_presplit,
             refunds,
-        ) = _schedule_round(frontier_dir, next_dir, shards, config, round_id, num_buckets)
+        ) = _schedule_round(frontier_dir, next_dir, shards, config, round_id)
         commits = [
             h.commit.remote(round_id, urls, refunds.get(s, {}), ckpt_dir is not None)
             for s, (h, urls) in enumerate(zip(shards, _urls_by_shard(fetch_tbl, num_shards)))
@@ -665,7 +646,6 @@ def crawl(
                         round_dir,
                         next_dir,
                         config.max_depth,
-                        num_buckets,
                         num_shards,
                     )
                     for i in range(0, len(urls), step)

@@ -5,14 +5,17 @@ dao/matches_db.py:42).
 A ``BloomShard`` is a packed bitarray bloom filter of the URLs one
 crawl state shard has seen: the shard that owns a URL's host
 (state/shard.py), so scheduling a host's frontier bucket probes its
-own filter with no round trip.  The crawl splits one bit budget
-(``num_bloom_shards × bloom_bits``) over its state shards.
+own filter with no round trip.  Because the filter is keyed by host, a
+host-skewed crawl loads one shard with most of its URLs, so every
+state shard's filter is sized for the crawl's whole bit budget
+(``num_bloom_shards × bloom_bits``): no shard's FPR exceeds what one
+filter of that budget would have at the crawl's total load, whatever
+the skew, and filter memory is the budget times the shard count.
 
 Sizing: with m bits, k hashes and n inserted keys the FPR is
 ``(1 - e^(-kn/m))^k`` (``estimated_fpr``); m = 2^22 bits, k = 7 hold
-~300k URLs at < 1e-4 FPR.  At the 10^10-URL design point, scale the
-shard count with the cluster and the budget to ~2^33 bits per shard
-(1 GiB) for the same FPR.
+~180k URLs at < 1e-4 FPR (~1.5e-3 at 300k).  At the 10^10-URL design
+point, size the per-shard budget for the most URLs one shard can own.
 
 Idempotence: ``probe`` is read-only; ``set_seen`` is a pure
 bit-OR, so re-applying a retried batch is a no-op — task retries
@@ -31,9 +34,17 @@ DEFAULT_NUM_BITS = 1 << 22
 DEFAULT_NUM_HASHES = 7
 
 
-def _base_hashes(url: str) -> tuple[int, int]:
-    d = hashlib.blake2b(url.encode("utf-8"), digest_size=16).digest()
-    return int.from_bytes(d[:8], "big"), int.from_bytes(d[8:], "big") | 1
+def url_hashes(urls: Sequence[str]) -> np.ndarray:
+    """(n, 2) uint64 base hashes (h1, h2) of each url (blake2b).  This
+    per-url Python loop is nearly all of a probe's cost, so callers
+    away from the filter (presplit slice tasks) hash their own urls and
+    send the hashes (``probe_hashes``)."""
+    out = np.empty((len(urls), 2), dtype=np.uint64)
+    for j, url in enumerate(urls):
+        d = hashlib.blake2b(url.encode("utf-8"), digest_size=16).digest()
+        out[j, 0] = int.from_bytes(d[:8], "big")
+        out[j, 1] = int.from_bytes(d[8:], "big") | 1
+    return out
 
 
 class BloomShard:
@@ -43,25 +54,23 @@ class BloomShard:
         self.bits = np.zeros(num_bits // 8, dtype=np.uint8)
         self.count = 0  # approximate insert count (for FPR monitoring)
 
-    def _positions(self, urls: Sequence[str]) -> np.ndarray:
+    def _positions(self, hashes: np.ndarray) -> np.ndarray:
         """(n, k) bit positions via double hashing:
-        position_i = (h1 + i*h2) mod m.  Hashing is per-url (blake2b),
-        position arithmetic is one vectorized numpy expression."""
-        n = len(urls)
-        h1 = np.empty(n, dtype=np.uint64)
-        h2 = np.empty(n, dtype=np.uint64)
-        for j, url in enumerate(urls):
-            a, b = _base_hashes(url)
-            h1[j], h2[j] = a, b
+        position_i = (h1 + i*h2) mod m, one vectorized numpy expression
+        over ``url_hashes`` output."""
         i = np.arange(self.num_hashes, dtype=np.uint64)
         with np.errstate(over="ignore"):
-            return (h1[:, None] + i[None, :] * h2[:, None]) % np.uint64(self.num_bits)
+            return (hashes[:, :1] + i * hashes[:, 1:]) % np.uint64(self.num_bits)
 
     def probe(self, urls: Sequence[str]) -> List[bool]:
         """True = possibly seen; False = definitely new. Read-only."""
-        if not urls:
+        return self.probe_hashes(url_hashes(urls))
+
+    def probe_hashes(self, hashes: np.ndarray) -> List[bool]:
+        """``probe`` over precomputed ``url_hashes``."""
+        if not len(hashes):
             return []
-        pos = self._positions(urls)
+        pos = self._positions(hashes)
         byte_idx = (pos >> np.uint64(3)).astype(np.int64)
         masks = (np.uint8(1) << (pos & np.uint64(7)).astype(np.uint8))
         hit = (self.bits[byte_idx] & masks) != 0
@@ -71,7 +80,7 @@ class BloomShard:
         """Mark URLs seen (idempotent bit-OR). Returns shard count."""
         if not urls:
             return self.count
-        pos = self._positions(urls)
+        pos = self._positions(url_hashes(urls))
         byte_idx = (pos >> np.uint64(3)).astype(np.int64)
         masks = (np.uint8(1) << (pos & np.uint64(7)).astype(np.uint8))
         np.bitwise_or.at(self.bits, byte_idx.ravel(), masks.ravel())
@@ -86,14 +95,25 @@ class BloomShard:
     # --- checkpoint -------------------------------------------------------
 
     def snapshot(self) -> Dict:
-        return {
-            "num_bits": self.num_bits,
-            "num_hashes": self.num_hashes,
-            "count": self.count,
-            "bits": self.bits.tobytes(),
-        }
+        snap = {"num_bits": self.num_bits, "num_hashes": self.num_hashes, "count": self.count}
+        # every shard holds the whole budget, so most shards are lightly
+        # filled (at most k bits per insert): store such a filter as its
+        # nonzero bytes, so checkpoint bytes follow the load, not the size
+        nz = np.flatnonzero(self.bits)
+        if nz.size * 9 < self.bits.size:
+            snap["nonzero_at"] = nz.tobytes()
+            snap["nonzero"] = self.bits[nz].tobytes()
+        else:
+            snap["bits"] = self.bits.tobytes()
+        return snap
 
     def restore(self, snap: Dict) -> None:
         assert snap["num_bits"] == self.num_bits and snap["num_hashes"] == self.num_hashes
-        self.bits = np.frombuffer(snap["bits"], dtype=np.uint8).copy()
+        if "bits" in snap:
+            self.bits = np.frombuffer(snap["bits"], dtype=np.uint8).copy()
+        else:
+            self.bits = np.zeros(self.num_bits // 8, dtype=np.uint8)
+            self.bits[np.frombuffer(snap["nonzero_at"], dtype=np.intp)] = np.frombuffer(
+                snap["nonzero"], dtype=np.uint8
+            )
         self.count = snap["count"]

@@ -3,13 +3,14 @@ bucketed file layout.
 
 The frontier between rounds is NOT driver state: it is a directory of
 per-bucket parquet files (``out_dir/frontier/round=r/bucket=b/*``),
-bucketed by hash(host) at WRITE time by whoever produces candidates —
-the state shards (deferrals), the fetch tasks (out-link partials) and
-the driver (global-budget spill).  Because the shuffle happens at
-write time, round scheduling needs NO runtime all-to-all: the state
-shard that owns bucket ``b`` (``b % num_shards``, which is also the
-politeness and seen-filter shard of every host in it) reads its own
-files and combines them with Arrow group_bys (``combine_candidates``).
+one bucket per state shard: bucket ``b`` holds the hosts whose
+politeness and seen-filter state shard ``b`` owns
+(``politeness_shard_of``).  Whoever produces candidates — the state
+shards (deferrals), the fetch tasks (out-link partials) and the driver
+(global-budget spill) — writes them into their owner's bucket, so
+round scheduling needs NO runtime all-to-all: each state shard reads
+its own bucket and combines it with Arrow group_bys
+(``combine_candidates``).
 
 Every file name is deterministic in (round, bucket, producer), so a
 resumed or retried round overwrites its own files instead of
@@ -24,7 +25,6 @@ from typing import List
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.hashing import stable_hash64
 from .politeness import politeness_shard_of
 from .storage import get_store
 
@@ -49,16 +49,6 @@ CANDIDATE_SCHEMA = pa.schema(
 )
 
 EMPTY_FRONTIER = FRONTIER_SCHEMA.empty_table()
-
-
-def frontier_bucket_of(host: str, num_buckets: int, num_shards: int) -> int:
-    """Bucket by host so (a) every copy of a url lands in one bucket
-    (same url -> same host) and (b) bucket % num_shards ==
-    politeness_shard_of(host) — each bucket belongs to exactly ONE state
-    shard."""
-    s = politeness_shard_of(host, num_shards)
-    sub = stable_hash64("frontier-bucket", host) % max(num_buckets // num_shards, 1)
-    return sub * num_shards + s
 
 
 def to_ipc(t: pa.Table) -> bytes:
@@ -142,10 +132,8 @@ def combine_candidates(t: pa.Table, entity_bonus: float) -> pa.Table:
     return merged
 
 
-def write_bucketed(
-    cand: pa.Table, next_dir: str, fname: str, num_buckets: int, num_shards: int
-) -> int:
-    """Partition CANDIDATE_SCHEMA rows by frontier bucket and write one
+def write_bucketed(cand: pa.Table, next_dir: str, fname: str, num_shards: int) -> int:
+    """Partition CANDIDATE_SCHEMA rows by owning state shard and write one
     ``bucket=b/{fname}.parquet`` per touched bucket (deterministic name
     -> retry-idempotent).  Returns rows written."""
     if cand.num_rows == 0:
@@ -155,7 +143,7 @@ def write_bucketed(
     # link partials) goes through here
     hosts = pc.unique(cand["host"])
     host_buckets = pa.array(
-        [frontier_bucket_of(h, num_buckets, num_shards) for h in hosts.to_pylist()],
+        [politeness_shard_of(h, num_shards) for h in hosts.to_pylist()],
         pa.int32(),
     )
     buckets = pc.take(host_buckets, pc.index_in(cand["host"], value_set=hosts))

@@ -1,15 +1,16 @@
 """One crawl state shard: the seen-filter bits and the politeness
-buckets of every host hashing to it, and the scheduler for the
-frontier buckets it owns (owner computes).
+buckets of every host hashing to it, and the scheduler for its
+frontier bucket (owner computes).
 
-A host's URLs, its token bucket and every frontier bucket it lands in
-share one shard (``politeness_shard_of(host)``; frontier buckets are
-keyed so that ``bucket % num_shards`` is that shard).  Scheduling a
-bucket — read → combine → bloom probe → per-host admission → write
-deferrals → local top-budget — therefore touches only this shard's own
-state, and a round makes one ``schedule`` call per shard with no
-blocking round trip inside it.  After the driver's global budget cut,
-one ``commit`` call per shard marks the fetched URLs seen, refunds the
+A host's URLs, its token bucket and its frontier bucket share one
+shard (``politeness_shard_of(host)``; the frontier has one bucket per
+shard, state/frontier.py).  Scheduling the bucket — read → combine →
+bloom probe → per-host admission → write deferrals → local top-budget
+— therefore touches only this shard's own state, and a round makes one
+``schedule`` call per shard with no blocking round trip inside it; the
+shards schedule in parallel, so the shard count is the round's
+scheduling parallelism.  After the driver's global budget cut, one
+``commit`` call per shard marks the fetched URLs seen, refunds the
 cut, and (when the crawl checkpoints) returns the shard's snapshot.
 
 The class is plain Python, so tests drive it in-process;
@@ -21,6 +22,8 @@ from __future__ import annotations
 
 import os
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -38,52 +41,50 @@ from .politeness import PolitenessShard
 from .storage import get_store
 
 
-def split_bloom_bits(total_bits: int, num_shards: int) -> List[int]:
-    """Split one bloom bit budget over ``num_shards`` filters in whole
-    bytes; the parts sum to the budget (rounded down to a byte) even
-    when it does not divide evenly."""
-    total_bytes = total_bits // 8
-    base, extra = divmod(total_bytes, num_shards)
-    return [8 * (base + (1 if i < extra else 0)) for i in range(num_shards)]
-
-
 class CrawlStateShard:
     def __init__(
         self,
+        shard_id: int,
+        num_shards: int,
         bloom_bits: int,
         politeness_config: Dict,
-        num_shards: int,
         round_budget: int,
         entity_bonus: float,
     ):
+        self.shard_id = shard_id
+        self.num_shards = num_shards
         self.bloom = BloomShard(bloom_bits)
         self.politeness = PolitenessShard(politeness_config)
-        self.num_shards = num_shards
         self.round_budget = round_budget
         self.entity_bonus = entity_bonus
 
-    def probe(self, urls: Sequence[str]) -> List[bool]:
-        """Bloom probe for the presplit slice tasks of this shard's hot
-        buckets (read-only)."""
-        return self.bloom.probe(urls)
+    def probe_hashes(self, hashes: np.ndarray) -> List[bool]:
+        """Bloom probe over ``bloom.url_hashes`` computed by the caller:
+        the presplit slice tasks of a hot bucket hash their own urls in
+        parallel, so this shard only does the vectorized bit lookups."""
+        return self.bloom.probe_hashes(hashes)
 
-    def schedule_bucket(
-        self,
-        round_id: int,
-        in_dir: str,
-        next_dir: str,
-        bucket: int,
-        num_buckets: int,
-        presched_only: bool = False,
+    def schedule(
+        self, round_id: int, in_dir: str, next_dir: str, presched_only: bool = False
+    ) -> Tuple[bytes, int, int, int]:
+        """Schedule this shard's frontier bucket -> (admitted rows (at
+        most ``round_budget``, FRONTIER_SCHEMA) as Arrow IPC bytes
+        (``frontier.from_ipc``), n_denied, n_admitted, n_deferred).
+        Deferred rows are written to ``next_dir`` as ``defer-{shard}``.
+        A presplit (hot) bucket was already combined/probed/denied/
+        truncated by its slice tasks, so only their compact
+        ``presched-*`` survivor files are merged."""
+        admitted, n_denied, n_admitted, n_deferred = self._schedule(
+            round_id, in_dir, next_dir, presched_only
+        )
+        return to_ipc(admitted), n_denied, n_admitted, n_deferred
+
+    def _schedule(
+        self, round_id: int, in_dir: str, next_dir: str, presched_only: bool
     ) -> Tuple[pa.Table, int, int, int]:
-        """Schedule one frontier bucket -> (admitted rows (at most
-        ``round_budget``, FRONTIER_SCHEMA), n_denied, n_admitted,
-        n_deferred).  Deferred rows are written to ``next_dir`` as
-        ``defer-{bucket}``.  A presplit (hot) bucket was already
-        combined/probed/denied/truncated by its slice tasks, so only
-        their compact ``presched-*`` survivor files are merged."""
         store = get_store()
         pattern = "presched-*" if presched_only else "*"
+        bucket = self.shard_id
         files = store.list_tables(os.path.join(in_dir, f"bucket={bucket}", pattern))
         if not files:
             return EMPTY_FRONTIER, 0, 0, 0
@@ -151,34 +152,9 @@ class CrawlStateShard:
             as_candidates(pa.concat_tables(defer_parts)),
             next_dir,
             f"defer-{bucket}",
-            num_buckets,
             self.num_shards,
         )
         return admitted, n_denied, len(admit_i), n_deferred
-
-    def schedule(
-        self,
-        round_id: int,
-        in_dir: str,
-        next_dir: str,
-        buckets: Sequence[int],
-        num_buckets: int,
-        presplit: frozenset = frozenset(),
-    ) -> Tuple[bytes, int, int, int]:
-        """Schedule every bucket this shard owns this round; the
-        ``schedule_bucket`` results concatenated, with the admitted rows
-        as Arrow IPC bytes (``frontier.from_ipc``)."""
-        parts = [
-            self.schedule_bucket(round_id, in_dir, next_dir, b, num_buckets, b in presplit)
-            for b in buckets
-        ]
-        admitted = pa.concat_tables([EMPTY_FRONTIER] + [p[0] for p in parts])
-        return (
-            to_ipc(admitted),
-            sum(p[1] for p in parts),
-            sum(p[2] for p in parts),
-            sum(p[3] for p in parts),
-        )
 
     def commit(
         self,

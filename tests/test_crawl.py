@@ -49,6 +49,15 @@ def test_bloom_shard_basics():
     b2 = BloomShard(num_bits=1 << 16)
     b2.restore(snap)
     assert b2.probe(urls[:50]) == [True] * 50
+    assert "nonzero" in snap and b2.bits.tobytes() == b.bits.tobytes()
+    # a well-filled filter snapshots its dense bit array
+    full = BloomShard(num_bits=1 << 10)
+    full.set_seen(urls)
+    dense = full.snapshot()
+    assert "bits" in dense
+    full2 = BloomShard(num_bits=1 << 10)
+    full2.restore(dense)
+    assert full2.bits.tobytes() == full.bits.tobytes()
 
 
 def test_host_policy_budget_and_robots():
@@ -180,9 +189,9 @@ def test_crawl_forced_presplit_equals_plain(store_and_inputs):
 
 
 def test_crawl_bucketed_with_budgets_matches_simulator(store_and_inputs):
-    """Several frontier buckets per politeness shard under binding
-    robots rules + host budgets + global budget must still reproduce
-    the simulator's ordering and seen set."""
+    """Six frontier buckets (one per state shard) under binding robots
+    rules + host budgets + global budget must still reproduce the
+    simulator's ordering and seen set."""
     store, ref, docs_local, idx, seeds = store_and_inputs
     cfg = CrawlConfig(
         max_depth=1,
@@ -192,10 +201,9 @@ def test_crawl_bucketed_with_budgets_matches_simulator(store_and_inputs):
         deny={"h3": ["Doc_1"]},
         host_budget={"h5": 7},
         num_bloom_shards=2,
-        num_politeness_shards=2,
+        num_politeness_shards=6,
         doc_store_partitions=8,
         max_rounds=40,
-        frontier_buckets_per_shard=3,
     )
     _, out = _run(store, ref, seeds, cfg, "bucketed_budget")
     sim = simulate_crawl(
@@ -773,14 +781,10 @@ def _shard_bucket_fixture(tmp_path):
     three hosts, one url already seen) and the config that makes every
     branch of the schedule body fire: robots deny, lifetime budget,
     token deferral and the local top-budget cut."""
-    from entity_context_crawler_ray.state.frontier import (
-        CANDIDATE_SCHEMA,
-        frontier_bucket_of,
-    )
+    from entity_context_crawler_ray.state.frontier import CANDIDATE_SCHEMA
 
-    num_shards, num_buckets = 1, 1
+    num_shards = 1
     hosts = ["ha", "hb", "hc"]
-    assert {frontier_bucket_of(h, num_buckets, num_shards) for h in hosts} == {0}
     rows = []
     for h in hosts:
         for i in range(6):
@@ -801,12 +805,11 @@ def _shard_bucket_fixture(tmp_path):
         "deny": {"hb": ["hb/private"]},
         "budget": {"hc": 3},
     }
-    return str(in_dir), pol_cfg, num_shards, num_buckets
+    return str(in_dir), pol_cfg, num_shards
 
 
 def _reference_schedule_bucket(
-    bloom, pol, round_id, in_dir, next_dir, bucket, num_buckets, num_shards,
-    round_budget, entity_bonus,
+    bloom, pol, round_id, in_dir, next_dir, bucket, num_shards, round_budget, entity_bonus,
 ):
     """The schedule body as it ran before the state shards: separate
     BloomShard and PolitenessShard objects, probe → admit_many →
@@ -863,33 +866,34 @@ def _reference_schedule_bucket(
     defer_parts.append(cand.take(pa.array(defer_i, pa.int64())))
     n_deferred = write_bucketed(
         as_candidates(pa.concat_tables(defer_parts)),
-        next_dir, f"defer-{bucket}", num_buckets, num_shards,
+        next_dir, f"defer-{bucket}", num_shards,
     )
     return admitted, n_denied, len(admit_i), n_deferred
 
 
-def test_state_shard_schedule_bucket_equals_separate_state(tmp_path):
-    """In-process, no Ray: a CrawlStateShard scheduling one bucket makes
+def test_state_shard_schedule_equals_separate_state(tmp_path):
+    """In-process, no Ray: a CrawlStateShard scheduling its bucket makes
     the same admit/defer/deny split, writes the same deferral file and
     leaves the same politeness state as the separate BloomShard +
     PolitenessShard path it replaces."""
+    from entity_context_crawler_ray.state.frontier import from_ipc
     from entity_context_crawler_ray.state.politeness import PolitenessShard
     from entity_context_crawler_ray.state.shard import CrawlStateShard
 
-    in_dir, pol_cfg, num_shards, num_buckets = _shard_bucket_fixture(tmp_path)
+    in_dir, pol_cfg, num_shards = _shard_bucket_fixture(tmp_path)
     round_budget, bonus, bits = 5, 10.0, 1 << 16
     already = ["ha/p0", "hc/p5"]
 
-    shard = CrawlStateShard(bits, pol_cfg, num_shards, round_budget, bonus)
+    shard = CrawlStateShard(0, num_shards, bits, pol_cfg, round_budget, bonus)
     shard.commit(-1, already, {})
     bloom = BloomShard(bits)
     bloom.set_seen(already)
     pol = PolitenessShard(pol_cfg)
 
-    got = shard.schedule_bucket(0, in_dir, str(tmp_path / "new"), 0, num_buckets)
+    ipc, *counts = shard.schedule(0, in_dir, str(tmp_path / "new"))
+    got = (from_ipc(ipc), *counts)
     want = _reference_schedule_bucket(
-        bloom, pol, 0, in_dir, str(tmp_path / "old"), 0, num_buckets, num_shards,
-        round_budget, bonus,
+        bloom, pol, 0, in_dir, str(tmp_path / "old"), 0, num_shards, round_budget, bonus,
     )
     assert got[0].equals(want[0])
     assert got[1:] == want[1:]
@@ -911,16 +915,17 @@ def test_state_shard_snapshot_restore_roundtrip(tmp_path):
     import json
     import pickle
 
+    from entity_context_crawler_ray.state.frontier import from_ipc
     from entity_context_crawler_ray.state.shard import CrawlStateShard
 
-    in_dir, pol_cfg, num_shards, num_buckets = _shard_bucket_fixture(tmp_path)
-    a = CrawlStateShard(1 << 16, pol_cfg, num_shards, 5, 10.0)
-    admitted, *_ = a.schedule_bucket(0, in_dir, str(tmp_path / "r0"), 0, num_buckets)
-    fetched = admitted["url"].to_pylist()
+    in_dir, pol_cfg, num_shards = _shard_bucket_fixture(tmp_path)
+    a = CrawlStateShard(0, num_shards, 1 << 16, pol_cfg, 5, 10.0)
+    ipc, *_ = a.schedule(0, in_dir, str(tmp_path / "r0"))
+    fetched = from_ipc(ipc)["url"].to_pylist()
     snap = a.commit(0, fetched[:3], {"ha": 1}, snapshot=True)
     assert snap == a.snapshot()
 
-    b = CrawlStateShard(1 << 16, pol_cfg, num_shards, 5, 10.0)
+    b = CrawlStateShard(0, num_shards, 1 << 16, pol_cfg, 5, 10.0)
     b.restore(
         pickle.loads(pickle.dumps(snap["bloom"])),
         json.loads(json.dumps(snap["politeness"])),
@@ -928,26 +933,26 @@ def test_state_shard_snapshot_restore_roundtrip(tmp_path):
     assert b.stats() == a.stats()
     assert b.stats()["bloom_inserts"] == 3 and 0.0 < b.stats()["bloom_fpr_est"] < 1e-6
     probe = fetched + ["ha/p9", "hz/none"]
-    assert b.probe(probe) == a.probe(probe)
+    assert b.bloom.probe(probe) == a.bloom.probe(probe)
     assert b.politeness.snapshot() == a.politeness.snapshot()
     # the next round schedules identically on both
-    ra = a.schedule_bucket(1, in_dir, str(tmp_path / "a1"), 0, num_buckets)
-    rb = b.schedule_bucket(1, in_dir, str(tmp_path / "b1"), 0, num_buckets)
-    assert ra[0].equals(rb[0]) and ra[1:] == rb[1:]
+    ra = a.schedule(1, in_dir, str(tmp_path / "a1"))
+    rb = b.schedule(1, in_dir, str(tmp_path / "b1"))
+    assert ra == rb
     # bits keyed by url hash (an older checkpoint) are refused, not
     # silently restored into host-keyed shards
     old_bits = {k: v for k, v in snap["bloom"].items() if k != "sharded_by"}
     with pytest.raises(ValueError, match="not sharded by host"):
-        CrawlStateShard(1 << 16, pol_cfg, num_shards, 5, 10.0).restore(
+        CrawlStateShard(0, num_shards, 1 << 16, pol_cfg, 5, 10.0).restore(
             old_bits, snap["politeness"]
         )
 
 
-def test_crawl_resume_equivalence_uneven_bloom_budget(store_and_inputs):
-    """Three state shards share a four-filter bit budget that does not
-    split evenly: the crawl still equals the simulator, starts one state
-    actor per politeness shard, and resuming after round 1 reproduces
-    the uninterrupted fetch log and page rows."""
+def test_crawl_resume_equivalence_three_shards(store_and_inputs):
+    """Three state shards, each with a four-filter bit budget: the crawl
+    still equals the simulator, starts one state actor per politeness
+    shard, and resuming after round 1 reproduces the uninterrupted fetch
+    log and page rows."""
     store, ref, docs_local, idx, seeds = store_and_inputs
     kw = dict(
         max_depth=1,
@@ -959,7 +964,7 @@ def test_crawl_resume_equivalence_uneven_bloom_budget(store_and_inputs):
         doc_store_partitions=8,
     )
     m_full, out_full = _run(
-        store, ref, seeds, CrawlConfig(max_rounds=40, **kw), "uneven_full", ckpt=True
+        store, ref, seeds, CrawlConfig(max_rounds=40, **kw), "three_full", ckpt=True
     )
     sim = simulate_crawl(
         docs_local,
@@ -971,19 +976,18 @@ def test_crawl_resume_equivalence_uneven_bloom_budget(store_and_inputs):
     assert list(zip(full_log["round"], full_log["rank"], full_log["url"])) == sim["fetch_log"]
     shards = m_full["state_shards"]
     assert len(shards) == 3
-    # the budget is split in whole bytes, unevenly, and none is lost
-    bits = [s["bloom_bits"] for s in shards]
-    assert sum(bits) == 4 * CrawlConfig().bloom_bits and len(set(bits)) == 2
-    assert all(b % 8 == 0 for b in bits)
+    # every shard holds the whole budget; each fetched url is marked
+    # seen in exactly one shard
+    assert {s["bloom_bits"] for s in shards} == {4 * CrawlConfig().bloom_bits}
     assert sum(s["bloom_inserts"] for s in shards) == m_full["urls_fetched"]
     for key in ("setup_s", "checkpoint_s", "teardown_s", "wall_sec"):
         assert m_full[key] >= 0.0
 
     m_a, out_part = _run(
-        store, ref, seeds, CrawlConfig(max_rounds=2, **kw), "uneven_part", ckpt=True
+        store, ref, seeds, CrawlConfig(max_rounds=2, **kw), "three_part", ckpt=True
     )
     m_b, _ = _run(
-        store, ref, seeds, CrawlConfig(max_rounds=40, **kw), "uneven_part",
+        store, ref, seeds, CrawlConfig(max_rounds=40, **kw), "three_part",
         ckpt=True, resume=True,
     )
     assert m_b["urls_fetched"] > 0
@@ -1000,3 +1004,35 @@ def test_crawl_resume_equivalence_uneven_bloom_budget(store_and_inputs):
         for o in (out_full, out_part)
     )
     assert n_full == n_part
+
+
+def test_crawl_one_host_bloom_load(store_and_inputs):
+    """A one-host crawl marks every url seen in ONE state shard.  That
+    shard's filter holds the whole bit budget, so its FPR is what one
+    filter of the budget has at the crawl's load — not the FPR of a
+    1/num_shards share."""
+    from entity_context_crawler_ray.sources.docs import host_of
+
+    store, ref, _docs_local, _idx, seeds = store_and_inputs
+    one_host = seeds.filter(pa.array([host_of(u) == "h3" for u in seeds["url"].to_pylist()]))
+    cfg = CrawlConfig(
+        max_depth=0,  # seeds only: every fetch is on h3
+        num_bloom_shards=2,
+        bloom_bits=1 << 12,
+        num_politeness_shards=3,
+        doc_store_partitions=8,
+    )
+    m, _ = _run(store, ref, one_host, cfg, "one_host_bloom")
+    n = m["urls_fetched"]
+    shards = m["state_shards"]
+    inserts = sorted(s["bloom_inserts"] for s in shards)
+    assert n > 0 and inserts == [0, 0, n]
+    budget = cfg.num_bloom_shards * cfg.bloom_bits
+    full = BloomShard(budget)
+    full.count = n
+    loaded = max(shards, key=lambda s: s["bloom_inserts"])
+    assert loaded["bloom_bits"] == budget
+    assert loaded["bloom_fpr_est"] == pytest.approx(full.estimated_fpr())
+    share = BloomShard(budget // 3)
+    share.count = n
+    assert loaded["bloom_fpr_est"] < share.estimated_fpr()
