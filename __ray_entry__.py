@@ -28,12 +28,17 @@ def entry() -> Any:
 
     from entity_context_crawler_ray.pipelines.build_contexts import build_contexts
     from entity_context_crawler_ray.pipelines.build_matches import mentions_pairs_view
+    from entity_context_crawler_ray.functions.hashing import stable_hash64
     from entity_context_crawler_ray.pipelines.crawl import CrawlConfig, crawl
     from entity_context_crawler_ray.sources import docs as docsrc
     from entity_context_crawler_ray.sources.doc_store import write_doc_store
 
     sf_dir = "/root/testdata/sf0.001"
-    base = "/tmp/ecc_entry"
+    # the cached store is keyed by the engine hash, which also places
+    # docs in its partitions: a store written under another hash is
+    # never reused
+    tag = stable_hash64("entry", sf_dir, docsrc.DERIVATION_VERSION) % (1 << 32)
+    base = f"/tmp/ecc_entry_{tag}"
     store = f"{base}/docstore"
     out = f"{base}/out"
     shutil.rmtree(out, ignore_errors=True)

@@ -1,4 +1,4 @@
-"""Stable hashing utilities.
+"""Stable hashing: md5 is the engine's one hash family.
 
 Everything here must be process-stable (no reliance on PYTHONHASHSEED)
 because results cross task boundaries and seed deterministic sampling:
@@ -7,78 +7,42 @@ serial loop (reference __main__.py:31-32,65-66;
 cmd/build_contexts_db.py:188-212); the rebuild instead derives every
 random decision from a stable per-key hash so results are independent
 of partitioning and iteration order (SURVEY.md §4 determinism note).
+
+Every hash is md5 — scalar keys through ``stable_hash64``, arrays
+through the vectorized ``md5_u64`` / ``md5_u128`` — because DuckDB's
+``md5()`` recomputes it, so every hash-driven decision (context
+sampling ranks, LSH planes, MinHash permutations, media geometry) is
+checkable by an oracle query.  The one exception is the sandbox input
+generator (sources/docs.py), which keeps its own hash so the derived
+corpus stays byte-stable.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from typing import Iterable
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
-
 
 def stable_hash64(*parts: object) -> int:
-    """64-bit stable hash of the '\\x1f'-joined string forms of parts."""
+    """64-bit stable hash of the '\\x1f'-joined string forms of parts:
+    the top 64 bits of their md5, so ``md5_u64`` over the same joined
+    key and DuckDB's ``CAST(('0x' || substr(md5(k), 1, 16)) AS UBIGINT)``
+    compute the same value."""
     key = "\x1f".join(str(p) for p in parts).encode("utf-8")
-    return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big")
+    return int.from_bytes(hashlib.md5(key).digest()[:8], "big")
 
 
-def stable_hash64_array(values: Iterable[str], salt: str = "") -> np.ndarray:
-    """Vector of stable 64-bit hashes (uint64) for string values."""
-    vals = values if hasattr(values, "__len__") else list(values)
-    out = np.empty(len(vals), dtype=np.uint64)
-    salt_b = salt.encode("utf-8") + b"\x1f"
-    for i, v in enumerate(vals):
-        h = hashlib.blake2b(salt_b + str(v).encode("utf-8"), digest_size=8)
-        out[i] = int.from_bytes(h.digest(), "big")
-    return out
-
-
-def shard_of(key: str, num_shards: int, salt: str = "shard") -> int:
-    return stable_hash64(salt, key) % num_shards
-
-
-# --- MinHash --------------------------------------------------------------
-
-# fixed odd multipliers derived from blake2b of the permutation index —
-# deterministic across processes, no RNG state involved
-def minhash_params(num_perm: int) -> tuple[np.ndarray, np.ndarray]:
-    a = np.array(
-        [stable_hash64("minhash-a", i) | 1 for i in range(num_perm)], dtype=np.uint64
-    )
-    b = np.array(
-        [stable_hash64("minhash-b", i) for i in range(num_perm)], dtype=np.uint64
-    )
-    return a, b
-
-
-def minhash_signature(
-    shingle_hashes: np.ndarray, a: np.ndarray, b: np.ndarray
-) -> np.ndarray:
-    """MinHash signature (uint64[num_perm]) from uint64 shingle hashes
-    via the standard (a*x+b) mod 2^64 permutation family."""
-    if shingle_hashes.size == 0:
-        return np.full(a.shape, _MASK64, dtype=np.uint64)
-    # broadcast: (num_perm, n_shingles)
-    with np.errstate(over="ignore"):
-        perms = (a[:, None] * shingle_hashes[None, :] + b[:, None])
-    return perms.min(axis=1)
-
-
-# --- Vectorized single-block MD5 ------------------------------------------
+# --- Vectorized MD5 ---------------------------------------------------------
 #
-# Every md5-keyed oracle message in this repo (sampling priorities,
-# LSH plane seeds, n-gram span keys) is a short ASCII string — far
-# under the 55-byte single-block limit — so the full MD5 of N messages
-# reduces to 64 rounds of uint32 numpy arithmetic over a (16, chunk)
-# word matrix: one compiled kernel instead of N (or Σ-weight) Python
-# ``hashlib`` calls.  Exactly RFC-1321 MD5, verified bit-for-bit
-# against ``hashlib`` in tests/test_hashing.py, so DuckDB's ``md5()``
-# oracle twins keep hash-matching while the hot path stays vectorized.
-# Measured on the 32-core box: 2M 20-byte messages in ~1.1 s vs
+# Most hashed messages (sampling priorities, LSH plane seeds, n-gram
+# span keys) fit one 64-byte block, so the MD5 of N messages reduces to
+# 64 rounds of uint32 numpy arithmetic over a (16, chunk) word matrix:
+# one compiled kernel instead of N Python ``hashlib`` calls; longer
+# messages chain blocks.  Exactly RFC-1321 MD5, verified bit-for-bit
+# against ``hashlib`` and DuckDB's ``md5()`` in tests/test_stages.py.
+# Measured on a 32-core box: 2M 20-byte messages in ~1.1 s vs
 # hashlib's ~2.0 s — and, unlike the hashlib loop, zero interpreter
 # cost per row.
 
@@ -194,22 +158,31 @@ def _md5_digest_words(
     return A, B, C, D
 
 
-def _as_bytes_lanes(msgs: np.ndarray):
+def _as_bytes_lanes(msgs) -> tuple:
     """Normalize to an S-dtype array + actual per-lane byte lengths
     (fixed-width dtypes over-allocate: an int64 stringifies to U21,
-    so the dtype width is not the message length)."""
-    msgs = np.asarray(msgs, dtype="S")
+    so the dtype width is not the message length).  ``str`` lanes hash
+    as their UTF-8 bytes, as DuckDB's ``md5()`` hashes a VARCHAR."""
+    msgs = np.asarray(msgs)
+    if msgs.dtype.kind in "UO":
+        msgs = msgs.astype("U", copy=False)
+        try:
+            msgs = msgs.astype("S")
+        except UnicodeEncodeError:
+            msgs = np.char.encode(msgs, "utf-8")
+    else:
+        msgs = msgs.astype("S", copy=False)
     lengths = np.char.str_len(msgs).astype(np.int64)
     return msgs, lengths
 
 
 def md5_u64(msgs: np.ndarray, chunk: int = 1 << 16) -> np.ndarray:
-    """Vectorized MD5: ``msgs`` is a numpy bytes (``S``-dtype) array
-    (any length — multi-block messages chain).  Returns ``uint64[N]``
+    """Vectorized MD5: ``msgs`` is an array (or list) of bytes or
+    ``str`` messages of any length.  Returns ``uint64[N]``
     equal to ``int.from_bytes(hashlib.md5(m).digest()[:8], "big")``
     per message — the exact value DuckDB's
-    ``CAST(('0x' || substr(md5(m),1,16)) AS UBIGINT)`` computes, so
-    md5-twin oracles can share this kernel."""
+    ``CAST(('0x' || substr(md5(m),1,16)) AS UBIGINT)`` computes, and
+    ``stable_hash64`` over the same key."""
     msgs, lengths = _as_bytes_lanes(msgs)
     if msgs.shape[0] == 0:
         return np.empty(0, dtype=np.uint64)

@@ -23,9 +23,11 @@ Data pipeline:
 Determinism: the reference's sampling depends on global ``random``
 state threaded through a serially-shuffled entity loop
 (cmd/build_contexts_db.py:188-212); the rebuild derives a stable rank
-per context row — rank = blake2b(seed, entity, page, start_char,
-mention) — so the sampled set is independent of partitioning and
-iteration order (SURVEY.md §4).  Hot-entity skew: when K is set, each
+per context row — rank = the top 64 bits of md5(seed, entity, page,
+start_char, mention) — so the sampled set is independent of
+partitioning and iteration order (SURVEY.md §4), and DuckDB recomputes
+it: the sampled contexts are oracle-checked end to end
+(``sql_ecc_contexts``).  Hot-entity skew: when K is set, each
 input batch pre-keeps only the K smallest ranks per entity (the global
 K smallest is a subset of per-batch K smallest), so no entity group
 ever exceeds K×num_batches rows in the shuffle — and the kept set is
@@ -34,7 +36,6 @@ exactly correct, not approximate.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Dict, Optional
 
 import numpy as np
@@ -74,25 +75,10 @@ class WindowMatches:
     (each row is heavy — full page text — so per-row work dominates),
     and the output carries only narrow columns."""
 
-    def __init__(
-        self,
-        context_size: int,
-        seed: int,
-        limit_contexts: Optional[int],
-        rank_hash: str = "stable",
-    ):
+    def __init__(self, context_size: int, seed: int, limit_contexts: Optional[int]):
         self.size = context_size
         self.seed = seed
         self.limit = limit_contexts
-        # 'stable' = production blake2b (functions/hashing.py);
-        # 'md5' = DuckDB-computable twin (top 64 bits of the md5 of the
-        # chr(31)-joined key) so the SAMPLED stage-2 chain is
-        # oracle-checkable end to end (same pattern as
-        # minhash_bands_md5 — the sampling algebra is identical, only
-        # the hash family differs)
-        if rank_hash not in ("stable", "md5"):
-            raise ValueError(f"rank_hash must be 'stable' or 'md5', got {rank_hash!r}")
-        self.rank_hash = rank_hash
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         out = {c: [] for c in _WINDOW_COLS}
@@ -107,34 +93,18 @@ class WindowMatches:
                 out["window"].append(
                     sql_window(text, m["start_char"], m["end_char"], self.size)
                 )
-                if self.rank_hash == "md5":
-                    key = "\x1f".join(
-                        (
-                            "ctx-sample",
-                            str(self.seed),
-                            m["entity_id"],
-                            title,
-                            str(m["start_char"]),
-                            m["mention"],
-                        )
+                # per-row hashlib md5: on these two-block keys it beat
+                # one md5_u64 call per batch at every batch size tried
+                out["rank"].append(
+                    stable_hash64(
+                        "ctx-sample",
+                        self.seed,
+                        m["entity_id"],
+                        title,
+                        m["start_char"],
+                        m["mention"],
                     )
-                    out["rank"].append(
-                        int(
-                            hashlib.md5(key.encode("utf-8")).hexdigest()[:16],
-                            16,
-                        )
-                    )
-                else:
-                    out["rank"].append(
-                        stable_hash64(
-                            "ctx-sample",
-                            self.seed,
-                            m["entity_id"],
-                            title,
-                            m["start_char"],
-                            m["mention"],
-                        )
-                    )
+                )
         t = pa.table(
             {
                 "entity_id": pa.array(out["entity_id"], pa.string()),
@@ -305,7 +275,6 @@ def build_contexts(
     limit_entities: Optional[int] = None,
     seed: int = 42,
     order_mode: str = "stable-hash",
-    rank_hash: str = "stable",
 ) -> ray.data.Dataset:
     """combined store (or a (title, clean_text, matches) projection of
     it) -> contexts Dataset (lazy).
@@ -394,7 +363,7 @@ def build_contexts(
     ).map_batches(prefilter, batch_format="pyarrow", zero_copy_batch=True)
 
     windows = combined.map_batches(
-        WindowMatches(context_size, seed, limit_contexts, rank_hash),
+        WindowMatches(context_size, seed, limit_contexts),
         batch_format="pyarrow",
         zero_copy_batch=True,
     ).map_batches(prefilter, batch_format="pyarrow", zero_copy_batch=True)

@@ -67,7 +67,7 @@ import pyarrow.parquet as pq
 import ray
 
 from ..functions.broadcast import cached, ref_id
-from ..functions.hashing import stable_hash64_array
+from ..functions.hashing import md5_u64
 from ..sources.doc_store import DocStoreReader, PlasmaDocStoreReader, preload_doc_store
 from ..sources.docs import host_of
 from ..stages.match import CombinedBuilder, SpanColumns
@@ -241,10 +241,7 @@ def _fetch_extract_task(
     )
     out = FetchExtract(*source)(batch)
     pages = out.drop_columns(["out_links", "fetched", "depth"])
-    fname = hashlib.blake2b(
-        ("\x1f".join(urls)).encode("utf-8"),
-        digest_size=10,
-    ).hexdigest()
+    fname = hashlib.md5("\x1f".join(urls).encode("utf-8")).hexdigest()
     # zstd over the default snappy: page text compresses ~2× smaller,
     # and at 100 TB the write path (disk / network) is the shared
     # resource, not CPU — on this box it measurably removes a disk
@@ -322,7 +319,7 @@ def _presplit_task(
     raw = pa.concat_tables([store.read_table(f) for f in files])
     mine = raw.filter(
         pa.array(
-            stable_hash64_array(raw["url"].to_pylist(), "presplit") % n_slices
+            md5_u64(["presplit\x1f" + u for u in raw["url"].to_pylist()]) % n_slices
             == slice_id
         )
     )

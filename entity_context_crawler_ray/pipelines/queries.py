@@ -6,9 +6,9 @@ training-data extensions), implemented Ray-Data-first over the driver
 tables in ``sf_dir``.  Oracle-checked entries carry ANSI SQL that
 DuckDB runs on the same parquet; the SQL mirrors the exact arithmetic
 (integer cents for money sums, IEEE-identical per-row products,
-RE2-shared regexes) so value hashes match bit-for-bit.  ECC-pipeline
-and sketch entries without SQL equivalents are rows-only checked by
-the driver and golden-tested in tests/.
+RE2-shared regexes, md5 for every hash) so value hashes match
+bit-for-bit.  The one entry without SQL, ``q_weighted_sample_fast``,
+has its rows counted and its exactness tested in tests/.
 """
 
 from __future__ import annotations
@@ -654,8 +654,8 @@ FROM c GROUP BY user_id
 
 
 # ---------------------------------------------------------------------------
-# ECC pipelines over the derived docs table (rows-only checks; golden
-# parity lives in tests/)
+# ECC pipelines over the derived docs table (DuckDB oracles below;
+# golden parity lives in tests/)
 
 from .build_contexts import build_contexts, context_stats
 from .build_matches import (
@@ -747,17 +747,34 @@ def ecc_contexts_sentences(sf_dir: str):
     )
 
 
+def _context_counts(contexts: ray.data.Dataset) -> ray.data.Dataset:
+    """``context_stats`` with its count as int64 (the oracle's BIGINT)."""
+
+    def cast_n(t: pa.Table) -> pa.Table:
+        return pa.table(
+            {
+                "entity_label": t["entity_label"],
+                "n_contexts": pc.cast(t["n_contexts"], pa.int64()),
+            }
+        )
+
+    return context_stats(contexts).map_batches(cast_n, batch_format="pyarrow")
+
+
 def ecc_context_stats(sf_dir: str):
-    return context_stats(ecc_contexts(sf_dir))
+    """Per-entity context counts over the SAMPLED contexts — the
+    reference's CSV sidecar, including the ≤K cap."""
+    return _context_counts(ecc_contexts(sf_dir))
 
 
 # --- ecc_* DuckDB oracles --------------------------------------------------
 #
-# The docs derivation keys every injected link/anchor on blake2b
-# (functions/hashing.py) which DuckDB cannot compute, so the oracle
-# takes the DERIVED inputs (exploded spans + entity catalog) as
-# parquet — written once here, keyed by a corpus fingerprint the SQL
-# can recompute from the registered ``documents`` view — and then
+# The docs derivation keys every injected link/anchor on the input
+# generator's own hash (sources/docs.py), which DuckDB cannot compute,
+# so the oracle takes the DERIVED inputs (exploded spans + entity
+# catalog) as parquet — written once here, keyed by a corpus
+# fingerprint the SQL can recompute from the registered ``documents``
+# view — and then
 # performs ALL of stage 1 in SQL: page text assembly, the cleaner,
 # the entity-link semi-join, anchor fallback, ambiguity dedup, the
 # token-boundary phrase-match scan (all occurrences, overlapping
@@ -822,7 +839,7 @@ def _ensure_oracle_inputs() -> tuple:
             i_corpus.append(fp)
             i_eid.append(eid)
             i_rid.append(rid)
-        # url -> politeness host (blake2b-derived, not SQL-computable):
+        # url -> politeness host (input-generator hash, not SQL-computable):
         # every crawlable url (doc titles ∪ link targets) of this sf
         urls = {docsrc.doc_title(idx) for idx in src["doc_id"].to_pylist()}
         urls |= {t for t in ents["page_title"].to_pylist() if t}
@@ -1034,9 +1051,8 @@ GROUP BY entity_id, mention
 def ecc_contexts_all(sf_dir: str):
     """Stage 2 UNSAMPLED (limit_contexts=None): every match's ±100
     window through crop (token mode) + strict-span pruning + masking +
-    rid lookup.  The sampled ``ecc_contexts`` can't be oracled (its
-    rank is blake2b); this variant exercises the identical operator
-    chain on all rows and IS SQL-expressible end to end."""
+    rid lookup: the operator chain of the sampled ``ecc_contexts``
+    without its ≤K sample, over every row."""
     combined, ents = _combined(sf_dir)
     return build_contexts(
         combined,
@@ -1140,12 +1156,9 @@ WHERE EXISTS (SELECT 1 FROM kept k WHERE k.ctx_id = c.ctx_id)
 
 
 def _sql_sampled_win(seed: int, k: int) -> str:
-    """md5-twin of the per-entity ≤K context sample (WindowMatches with
-    ``rank_hash='md5'``): rank = top 64 bits of the md5 of the
-    chr(31)-joined (tag, seed, entity, page, start_char, mention) key,
-    keep the K smallest per entity.  Identical sampling algebra to the
-    production blake2b path — only the hash family differs (the same
-    twin pattern as minhash_bands_md5)."""
+    """The per-entity ≤K context sample (WindowMatches): rank = top 64
+    bits of the md5 of the chr(31)-joined (tag, seed, entity, page,
+    start_char, mention) key, keep the K smallest per entity."""
     return rf"""
 , winsamp AS (
   SELECT * FROM (
@@ -1263,18 +1276,8 @@ def sql_ecc_contexts_sentences_all() -> str:
 
 def ecc_context_stats_all(sf_dir: str):
     """Per-entity context counts over the UNSAMPLED contexts (the
-    oracle-able variant of the CSV sidecar; see ecc_contexts_all)."""
-    out = context_stats(ecc_contexts_all(sf_dir))
-
-    def cast_n(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "entity_label": t["entity_label"],
-                "n_contexts": pc.cast(t["n_contexts"], pa.int64()),
-            }
-        )
-
-    return out.map_batches(cast_n, batch_format="pyarrow")
+    CSV sidecar without the ≤K cap; see ecc_contexts_all)."""
+    return _context_counts(ecc_contexts_all(sf_dir))
 
 
 def sql_ecc_context_stats_all() -> str:
@@ -1289,28 +1292,7 @@ FROM contexts_all GROUP BY entity_label
     )
 
 
-def ecc_contexts_md5(sf_dir: str):
-    """Stage 2 SAMPLED (limit_contexts=10) with the md5-twin rank:
-    the full sampled operator chain — per-entity ≤K smallest-rank
-    window sample (O2, reference cmd/build_contexts_db.py:210-212) →
-    crop (token mode) → strict-span pruning → masking → rid lookup —
-    oracle-checked end to end.  The production path (``ecc_contexts``)
-    ranks by blake2b, which DuckDB cannot compute, so it stays a
-    rows-only check; this twin differs ONLY in the hash family
-    (the minhash_bands_md5 pattern)."""
-    combined, ents = _combined(sf_dir)
-    return build_contexts(
-        combined,
-        ents,
-        docsrc.id_map_table(sf_dir),
-        _mentions_pairs(combined),
-        context_size=100,
-        limit_contexts=10,
-        rank_hash="md5",
-    )
-
-
-def sql_ecc_contexts_md5() -> str:
+def sql_ecc_contexts() -> str:
     return (
         _ecc_oracle_prefix()
         + _sql_ecc_contexts_head(100)
@@ -1320,23 +1302,7 @@ def sql_ecc_contexts_md5() -> str:
     )
 
 
-def ecc_contexts_sentences_md5(sf_dir: str):
-    """Stage 2 SAMPLED, sentence-mode crop, md5-twin rank (see
-    ecc_contexts_md5)."""
-    combined, ents = _combined(sf_dir)
-    return build_contexts(
-        combined,
-        ents,
-        docsrc.id_map_table(sf_dir),
-        _mentions_pairs(combined),
-        context_size=150,
-        crop_sentences=True,
-        limit_contexts=10,
-        rank_hash="md5",
-    )
-
-
-def sql_ecc_contexts_sentences_md5() -> str:
+def sql_ecc_contexts_sentences() -> str:
     return (
         _ecc_oracle_prefix()
         + _sql_ecc_contexts_head(150)
@@ -1346,31 +1312,14 @@ def sql_ecc_contexts_sentences_md5() -> str:
     )
 
 
-def ecc_context_stats_md5(sf_dir: str):
-    """Per-entity context counts over the SAMPLED (md5-twin) contexts
-    — the oracle-able variant of ``ecc_context_stats``'s CSV sidecar
-    semantics including the ≤K cap (see ecc_contexts_md5)."""
-    out = context_stats(ecc_contexts_md5(sf_dir))
-
-    def cast_n(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "entity_label": t["entity_label"],
-                "n_contexts": pc.cast(t["n_contexts"], pa.int64()),
-            }
-        )
-
-    return out.map_batches(cast_n, batch_format="pyarrow")
-
-
-def sql_ecc_context_stats_md5() -> str:
+def sql_ecc_context_stats() -> str:
     return (
-        "WITH contexts_md5 AS (\n"
-        + sql_ecc_contexts_md5()
+        "WITH contexts AS (\n"
+        + sql_ecc_contexts()
         + """
 )
 SELECT entity_label, CAST(count(*) AS BIGINT) AS n_contexts
-FROM contexts_md5 GROUP BY entity_label
+FROM contexts GROUP BY entity_label
 """
     )
 
@@ -1446,7 +1395,7 @@ def ecc_crawl_log(sf_dir: str):
 def sql_ecc_crawl_log() -> str:
     """DuckDB twin of the budget-constrained crawl: models the
     politeness token-bucket walk in closed form (see ecc_crawl_log).
-    Host assignment is blake2b-derived, so it comes in as the
+    Host assignment uses the input generator's hash, so it comes in as the
     ``hosts`` derived-input parquet (the same pattern as the span
     inputs)."""
     _, _, _, hosts_path = _ensure_oracle_inputs()
@@ -1612,31 +1561,22 @@ SELECT * FROM r1
 
 
 # ---------------------------------------------------------------------------
-# sketch / multimodal / ANN extras (rows-only checks; unit-tested)
+# sketch / ANN extras
 
 
 def q_embedding_neardup_lsh(sf_dir: str):
     """Scale-path ANN near-dup: sign-LSH bucket groupby, exact
-    within-bucket pairwise (approximate recall; rows-only check —
-    recall vs the exact variant is unit-tested)."""
+    within-bucket pairwise (approximate recall vs the exact variant is
+    unit-tested).  DuckDB reproduces the md5 plane coefficients, the
+    sign buckets, and the within-bucket cosine filter exactly
+    (normalization cannot flip a dot-product sign, so the SQL buckets
+    on the raw vectors)."""
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    return dedup.embedding_neardup_lsh(ds, threshold=0.40, n_bits=4)
-
-
-def q_embedding_neardup_lsh_md5(sf_dir: str):
-    """Sign-LSH near-dup with md5-derived hyperplanes — the
-    oracle-checkable twin of q_embedding_neardup_lsh: DuckDB
-    reproduces the plane coefficients, the sign buckets, and the
-    within-bucket cosine filter exactly (normalization cannot flip a
-    dot-product sign, so the SQL buckets on the raw vectors)."""
-    ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    out = dedup.embedding_neardup_lsh(
-        ds, threshold=0.40, n_bits=4, plane_hash="md5"
-    )
+    out = dedup.embedding_neardup_lsh(ds, threshold=0.40, n_bits=4)
     return out.select_columns(["vec_id_a", "vec_id_b"])
 
 
-SQL_EMBEDDING_NEARDUP_LSH_MD5 = """
+SQL_EMBEDDING_NEARDUP_LSH = """
 WITH dims AS (
   SELECT unnest(range((SELECT len(embedding) FROM embeddings LIMIT 1))) AS d
 ), planes AS (
@@ -1665,25 +1605,18 @@ WHERE list_cosine_similarity(CAST(a.embedding AS DOUBLE[]),
 
 
 def q_minhash_neardup(sf_dir: str):
+    """END-TO-END near-dup, oracle-checked: banding (minhash_bands) ->
+    same-bucket candidate pairs (dedup.band_pairs: within-bucket pairs,
+    distinct) -> TRUE n-gram Jaccard verify (distributed joins +
+    per-batch scoring).  Extends q_minhash_bands through the whole
+    pipeline so candidate generation + verification are hash-verified
+    against SQL, not just the signatures (VERDICT r2 next-round #7)."""
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    pairs = dedup.minhash_candidates(ds, num_perm=64, bands=16)
+    pairs = dedup.band_pairs(dedup.band_rows(ds))
     return dedup.verify_jaccard_pairs(pairs, ds, threshold=0.5)
 
 
-def q_minhash_neardup_md5(sf_dir: str):
-    """END-TO-END near-dup with md5-twinned hashing, oracle-checked:
-    banding (minhash_bands_md5) -> same-bucket candidate pairs
-    (dedup.band_pairs: within-bucket pairs, distinct) -> TRUE n-gram
-    Jaccard verify (distributed joins + per-batch scoring).  Extends
-    the q_minhash_bands twin through the whole pipeline so candidate
-    generation + verification are hash-verified against SQL, not just
-    the signatures (VERDICT r2 next-round #7)."""
-    ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    pairs = dedup.band_pairs(dedup.md5_band_rows(ds))
-    return dedup.verify_jaccard_pairs(pairs, ds, threshold=0.5)
-
-
-SQL_MINHASH_NEARDUP_MD5 = """
+SQL_MINHASH_NEARDUP = """
 WITH w AS (
   SELECT doc_id, regexp_extract_all(text, '[A-Za-z0-9_]+') AS ws FROM documents
 ), g AS (
@@ -1770,10 +1703,9 @@ FROM documents d LEFT JOIN sig USING (doc_id)
 
 def q_minhash_bands(sf_dir: str):
     """MinHash LSH banding with md5-derived hashes in a 2^32
-    permutation space — the oracle-checkable twin of the production
-    banding (stages/dedup.py MinHashLSH)."""
+    permutation space (stages/dedup.py minhash_bands)."""
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    return ds.map_batches(dedup.minhash_bands_md5, batch_format="pyarrow")
+    return ds.map_batches(dedup.minhash_bands, batch_format="pyarrow")
 
 
 SQL_MINHASH_BANDS = """
@@ -1810,9 +1742,7 @@ FROM sig GROUP BY doc_id, i // 4
 
 def q_knn_ivf(sf_dir: str):
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    out = similarity.knn_ivf(
-        ds, _query_vec(sf_dir), k=20, n_bits=4, plane_hash="md5"
-    )
+    out = similarity.knn_ivf(ds, _query_vec(sf_dir), k=20, n_bits=4)
 
     def round_sim(t: pa.Table) -> pa.Table:
         return pa.table(
@@ -1946,7 +1876,7 @@ def _dedup_clusters_ds(sf_dir: str) -> ray.data.Dataset:
     and q_dedup_keep_best."""
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     # materialized: connected_components counts the pairs, then reads them
-    pairs = dedup.band_pairs(dedup.md5_band_rows(ds)).materialize()
+    pairs = dedup.band_pairs(dedup.band_rows(ds)).materialize()
     out = dedup.connected_components(
         pairs, _read(sf_dir, "documents", ["doc_id"])
     )
@@ -2163,22 +2093,16 @@ WHERE CAST(('0x' || substr(md5('sample' || CAST(doc_id AS VARCHAR)), 1, 16)) AS 
 
 def q_media_decode(sf_dir: str):
     """REAL bitstream decode: deterministic raw PPM/BMP bytes per ref
-    through the pure-numpy parsers (stages/media.decode_image_bytes)."""
+    through the pure-numpy parsers (stages/media.decode_image_bytes).
+    The synthetic geometry is md5-seeded, so the oracle predicts the
+    (width, height, channels, n_bytes) the real parsers must recover
+    from the encoded bytes."""
     docs_ds = docsrc.read_docs(sf_dir)
     decoded = media.decode_media(docs_ds)
     return decoded.drop_columns(["payload"])
 
 
-def q_media_decode_md5(sf_dir: str):
-    """REAL bitstream decode with md5-seeded synthetic geometry — the
-    oracle predicts the (width, height, channels, n_bytes) the real
-    PPM/BMP parsers must recover from the encoded bytes."""
-    docs_ds = docsrc.read_docs(sf_dir)
-    decoded = media.decode_media(docs_ds, seed_hash="md5")
-    return decoded.drop_columns(["payload"])
-
-
-def sql_q_media_decode_md5() -> str:
+def sql_q_media_decode() -> str:
     return _ecc_oracle_prefix() + """
 , m AS (
   SELECT doc_id, media_ref,
@@ -2195,27 +2119,8 @@ FROM m
 
 
 def q_media_embed(sf_dir: str):
-    """decode (real bitstreams) -> resize (real nearest-neighbor) ->
-    actor-pool batched embedding (deterministic projection model)."""
-    docs_ds = docsrc.read_docs(sf_dir)
-    decoded = media.resize_media(media.decode_media(docs_ds))
-    emb = media.embed_media(decoded, dim=16)
-    return emb.map_batches(
-        lambda t: pa.table(
-            {
-                "doc_id": t["doc_id"],
-                "media_ref": t["media_ref"],
-                "dim": pa.array(
-                    [len(e) for e in t["embedding"].to_pylist()], pa.int64()
-                ),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-
-
-def q_media_embed_md5(sf_dir: str):
-    """decode (md5-seeded geometry, REAL parsers) -> resize -> embed
+    """decode (md5-seeded geometry, REAL parsers) -> resize ->
+    actor-pool batched embedding (deterministic projection model),
     with input-payload checksums: the oracle predicts, in closed form
     from the gradient generator, the exact byte count / byte sum /
     position-weighted byte sum of the pixel buffer the model consumed
@@ -2227,7 +2132,7 @@ def q_media_embed_md5(sf_dir: str):
     (a numpy RandomState projection has no SQL twin; its input being
     byte-exact is the strong check)."""
     docs_ds = docsrc.read_docs(sf_dir)
-    decoded = media.resize_media(media.decode_media(docs_ds, seed_hash="md5"))
+    decoded = media.resize_media(media.decode_media(docs_ds))
     emb = media.embed_media(decoded, dim=16, emit_checksums=True)
     return emb.map_batches(
         lambda t: pa.table(
@@ -2246,7 +2151,7 @@ def q_media_embed_md5(sf_dir: str):
     )
 
 
-def sql_q_media_embed_md5() -> str:
+def sql_q_media_embed() -> str:
     return _ecc_oracle_prefix() + """
 , m AS (
   SELECT doc_id, media_ref,
@@ -2283,22 +2188,14 @@ GROUP BY doc_id, media_ref
 
 
 def q_media_frames(sf_dir: str):
-    """Video-style frame sampling over the media spans."""
+    """Video-style frame sampling over the media spans, with
+    md5-derived stream durations (DuckDB reproduces the duration probe
+    and the sampling arithmetic exactly)."""
     docs_ds = docsrc.read_docs(sf_dir)
     return media.sample_frames(media.extract_media_spans(docs_ds), every_ms=1000)
 
 
-def q_media_frames_md5(sf_dir: str):
-    """Frame sampling with md5-derived stream durations — the
-    oracle-checkable twin of q_media_frames (DuckDB reproduces the
-    duration probe and the sampling arithmetic exactly)."""
-    docs_ds = docsrc.read_docs(sf_dir)
-    return media.sample_frames(
-        media.extract_media_spans(docs_ds), every_ms=1000, duration_hash="md5"
-    )
-
-
-def sql_q_media_frames_md5() -> str:
+def sql_q_media_frames() -> str:
     return _ecc_oracle_prefix() + """
 , m AS (
   SELECT doc_id, media_ref,
@@ -3500,10 +3397,12 @@ def q_left_join_custorders(sf_dir: str):
             }
         )
 
+    # materialized: join reads the schema at plan time, which reruns a lazy aggregate
     per_cust = (
         orders.map_batches(partial, batch_format="pyarrow")
         .groupby("o_custkey")
         .aggregate(Sum("pc_", alias_name="s"), Sum("pn_", alias_name="n"))
+        .materialize()
     )
     cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
     joined = exchange.join(cust, per_cust, on="c_custkey", right_on="o_custkey", how="left")
@@ -4485,17 +4384,7 @@ def q_incremental_dedup(sf_dir: str):
     def content_key(t: pa.Table) -> pa.Table:
         from entity_context_crawler_ray.functions.hashing import md5_u64
 
-        texts = t["text"].to_pylist()
-        try:
-            msgs = np.asarray(texts, dtype="S")
-        except UnicodeEncodeError:
-            # md5 over the UTF-8 bytes, as DuckDB's md5() hashes them
-            msgs = np.array([x.encode("utf-8") for x in texts], dtype="S")
-        h = (
-            md5_u64(msgs).view(np.int64)
-            if texts
-            else np.array([], dtype=np.int64)
-        )
+        h = md5_u64(t["text"].to_pylist()).view(np.int64)
         out = t.drop_columns(["text"])
         return out.append_column("h", pa.array(h, pa.int64()))
 
@@ -4509,10 +4398,12 @@ def q_incremental_dedup(sf_dir: str):
             "dup_flag", pa.array(np.ones(kt.num_rows, np.int64), pa.int64())
         )
 
+    # materialized: join reads the schema at plan time, which reruns a lazy aggregate
     old_h = (
         old.map_batches(old_keys, batch_format="pyarrow")
         .groupby("h")
         .aggregate(Max("dup_flag", alias_name="dup_flag"))
+        .materialize()
     )
     joined = exchange.join(probed, old_h, on="h", how="left")
 
@@ -5046,7 +4937,7 @@ def queries() -> Dict[str, Callable]:
         "q_top_orders_per_cust": q_top_orders_per_cust,
         "q_quantiles": q_quantiles,
         "q_sample": q_sample,
-        # ECC pipelines (rows-only; golden parity in tests/)
+        # ECC pipelines (oracle-checked; golden parity in tests/)
         "ecc_pages": ecc_pages,
         "ecc_matches": ecc_matches,
         "ecc_mentions": ecc_mentions,
@@ -5056,26 +4947,17 @@ def queries() -> Dict[str, Callable]:
         "ecc_contexts_sentences_all": ecc_contexts_sentences_all,
         "ecc_context_stats": ecc_context_stats,
         "ecc_context_stats_all": ecc_context_stats_all,
-        "ecc_contexts_md5": ecc_contexts_md5,
-        "ecc_contexts_sentences_md5": ecc_contexts_sentences_md5,
-        "ecc_context_stats_md5": ecc_context_stats_md5,
         "ecc_crawl_log": ecc_crawl_log,
         "ecc_crawl_log_unbounded": ecc_crawl_log_unbounded,
-        # sketches / ANN (md5-twinned, oracle-checked)
+        # sketches / ANN / multimodal
         "q_simhash": q_simhash,
         "q_minhash_bands": q_minhash_bands,
-        "q_minhash_neardup_md5": q_minhash_neardup_md5,
-        "q_embedding_neardup_lsh_md5": q_embedding_neardup_lsh_md5,
-        "q_knn_ivf": q_knn_ivf,
-        # sketches / ANN / multimodal (rows-only; unit-tested)
         "q_minhash_neardup": q_minhash_neardup,
         "q_embedding_neardup_lsh": q_embedding_neardup_lsh,
+        "q_knn_ivf": q_knn_ivf,
         "q_media_decode": q_media_decode,
         "q_media_embed": q_media_embed,
-        "q_media_embed_md5": q_media_embed_md5,
         "q_media_frames": q_media_frames,
-        "q_media_frames_md5": q_media_frames_md5,
-        "q_media_decode_md5": q_media_decode_md5,
     }
 
 
@@ -5180,8 +5062,8 @@ def _build_oracle_sql() -> Dict[str, str]:
         "q_embedding_neardup": SQL_EMBEDDING_NEARDUP,
         "q_events_hourly": SQL_EVENTS_HOURLY,
         "q_sessions": SQL_SESSIONS,
-        "q_minhash_neardup_md5": SQL_MINHASH_NEARDUP_MD5,
-        "q_embedding_neardup_lsh_md5": SQL_EMBEDDING_NEARDUP_LSH_MD5,
+        "q_minhash_neardup": SQL_MINHASH_NEARDUP,
+        "q_embedding_neardup_lsh": SQL_EMBEDDING_NEARDUP_LSH,
         # ecc stage-1 views, end-to-end in SQL over the derived inputs
         "ecc_pages": sql_ecc_pages(),
         "ecc_matches": sql_ecc_matches(),
@@ -5189,12 +5071,12 @@ def _build_oracle_sql() -> Dict[str, str]:
         "ecc_contexts_all": sql_ecc_contexts_all(),
         "ecc_contexts_sentences_all": sql_ecc_contexts_sentences_all(),
         "ecc_context_stats_all": sql_ecc_context_stats_all(),
-        "ecc_contexts_md5": sql_ecc_contexts_md5(),
-        "ecc_contexts_sentences_md5": sql_ecc_contexts_sentences_md5(),
-        "ecc_context_stats_md5": sql_ecc_context_stats_md5(),
+        "ecc_contexts": sql_ecc_contexts(),
+        "ecc_contexts_sentences": sql_ecc_contexts_sentences(),
+        "ecc_context_stats": sql_ecc_context_stats(),
         "ecc_crawl_log": sql_ecc_crawl_log(),
         "ecc_crawl_log_unbounded": sql_ecc_crawl_log_unbounded(),
-        "q_media_frames_md5": sql_q_media_frames_md5(),
-        "q_media_decode_md5": sql_q_media_decode_md5(),
-        "q_media_embed_md5": sql_q_media_embed_md5(),
+        "q_media_frames": sql_q_media_frames(),
+        "q_media_decode": sql_q_media_decode(),
+        "q_media_embed": sql_q_media_embed(),
     }

@@ -161,7 +161,7 @@ def _step_minhash_bands(ds, num_perm: int = 16, bands: int = 4, shingle_n: int =
     from ..stages import dedup
 
     return ds.map_batches(
-        lambda t: dedup.minhash_bands_md5(
+        lambda t: dedup.minhash_bands(
             t, num_perm=num_perm, bands=bands, shingle_n=shingle_n
         ),
         batch_format="pyarrow",

@@ -28,6 +28,21 @@ def doc_partition(doc_id: str, num_partitions: int) -> int:
     return stable_hash64("docstore", doc_id) % num_partitions
 
 
+def _check_partition(doc_ids: List[str], part: int, num_partitions: int) -> None:
+    """Refuse a partition whose docs ``doc_partition`` sends elsewhere: a
+    store written under another partition hash or count would otherwise
+    make every lookup miss silently.  Sampling a few ids suffices, since
+    a foreign layout misplaces each id with probability 1 - 1/N."""
+    for d in doc_ids[:8]:
+        if doc_partition(d, num_partitions) != part:
+            raise ValueError(
+                f"doc store partition {part} holds {d!r}, which belongs to "
+                f"partition {doc_partition(d, num_partitions)} of {num_partitions}: "
+                "the store was written with another partition hash or count; "
+                "rewrite it with write_doc_store"
+            )
+
+
 def write_doc_store(
     docs: ray.data.Dataset, store_dir: str, num_partitions: int = DEFAULT_PARTITIONS
 ) -> None:
@@ -72,9 +87,9 @@ class DocStoreReader:
             path = os.path.join(self.store_dir, f"part={part}")
             if os.path.isdir(path):
                 table = pq.read_table(path, columns=["doc_id", "spans"])
-                row_of = {
-                    d: i for i, d in enumerate(table["doc_id"].to_pylist())
-                }
+                ids = table["doc_id"].to_pylist()
+                _check_partition(ids, part, self.num_partitions)
+                row_of = {d: i for i, d in enumerate(ids)}
                 self._cache[part] = (table["spans"].combine_chunks(), row_of)
             else:
                 self._cache[part] = (None, {})
@@ -152,8 +167,9 @@ def preload_doc_store(store_dir: str, num_partitions: int) -> Dict[int, object]:
         if not os.path.isdir(path):
             return None, {}
         table = pq.read_table(path, columns=["doc_id", "spans"])
-        row_of = {d: i for i, d in enumerate(table["doc_id"].to_pylist())}
-        return table["spans"].combine_chunks(), row_of
+        ids = table["doc_id"].to_pylist()
+        _check_partition(ids, part, num_partitions)
+        return table["spans"].combine_chunks(), {d: i for i, d in enumerate(ids)}
 
     return {p: load.remote(p) for p in range(num_partitions)}
 

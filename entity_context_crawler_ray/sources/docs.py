@@ -36,13 +36,12 @@ fixture).
 
 from __future__ import annotations
 
+import hashlib
 from typing import Dict, List
 
 import pyarrow as pa
 import pyarrow.parquet as pq
 import ray.data
-
-from ..functions.hashing import stable_hash64
 
 SPAN_TYPE = pa.list_(
     pa.struct(
@@ -61,7 +60,16 @@ DOCS_SCHEMA = pa.schema([("doc_id", pa.string()), ("spans", SPAN_TYPE)])
 # by this version are regenerated instead of reused stale
 DERIVATION_VERSION = 3
 
-N_HOSTS = 16  # politeness host buckets; host = f"h{stable_hash64('host', doc_id) % N_HOSTS}"
+N_HOSTS = 16  # politeness host buckets; host = f"h{_derive_hash('host', doc_id) % N_HOSTS}"
+
+
+def _derive_hash(*parts: object) -> int:
+    """64-bit blake2b of the '\\x1f'-joined parts.  The derivation keeps
+    its own hash, not the engine's md5 ``stable_hash64``, so the derived
+    corpus (and every oracle input built from it) stays byte-identical
+    across engine hash changes; DERIVATION_VERSION guards the rules."""
+    key = "\x1f".join(str(p) for p in parts).encode("utf-8")
+    return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big")
 
 
 def doc_title(idx: int, replica: int = 0) -> str:
@@ -84,7 +92,7 @@ def host_of(doc_id: str) -> str:
         host = netloc.rsplit("@", 1)[-1].split(":", 1)[0]
         if host:
             return host
-    return f"h{stable_hash64('host', doc_id) % N_HOSTS}"
+    return f"h{_derive_hash('host', doc_id) % N_HOSTS}"
 
 
 def is_entity_idx(idx: int) -> bool:
@@ -110,12 +118,12 @@ def entity_alias_for(idx: int, replica: int = 0) -> str:
 
 def entity_has_page(idx: int) -> bool:
     """~1 in 5 entities has an empty page_title (empty-URL case)."""
-    return stable_hash64("haspage", idx) % 5 != 0
+    return _derive_hash("haspage", idx) % 5 != 0
 
 
 def entity_in_id_map(idx: int) -> bool:
     """~1 in 5 entities is missing from id_map (semi-join drop)."""
-    return stable_hash64("idmap", idx) % 5 != 0
+    return _derive_hash("idmap", idx) % 5 != 0
 
 
 def _doc_spans(
@@ -160,12 +168,12 @@ def _doc_spans(
     # (those give the matcher hits that survive the cleaner), the rest
     # target arbitrary pages — so the crawl's 1-hop neighborhood covers
     # non-entity pages too, like a real wiki link graph
-    n_links = 1 + stable_hash64("nlinks", idx) % 5
+    n_links = 1 + _derive_hash("nlinks", idx) % 5
     for j in range(n_links):
         target_idx = (idx * 31 + 7 * (j + 1) + 13) % n_docs
-        if stable_hash64("targetkind", idx, j) % 5 < 3:
+        if _derive_hash("targetkind", idx, j) % 5 < 3:
             target_idx -= target_idx % 5  # snap to an entity page index
-        use_alias = stable_hash64("alias", idx, j) % 3 == 0
+        use_alias = _derive_hash("alias", idx, j) % 3 == 0
         anchor = (
             entity_alias_for(target_idx, replica)
             if use_alias
@@ -173,7 +181,7 @@ def _doc_spans(
         )
         # empty-anchor case: fall back to target title (reference
         # cmd/build_matches_db.py:261 uses link.title when text is empty)
-        if stable_hash64("emptyanchor", idx, j) % 7 == 0:
+        if _derive_hash("emptyanchor", idx, j) % 7 == 0:
             anchor = ""
         shown = anchor if anchor else doc_title(target_idx, replica)
         add("link", anchor, doc_title(target_idx, replica))
@@ -182,14 +190,14 @@ def _doc_spans(
             f"The entity {shown} appears prominently in this detailed study of related topics.",
         )
         # ambiguous-anchor case: same anchor text linking a second target
-        if stable_hash64("ambig", idx, j) % 11 == 0 and anchor:
+        if _derive_hash("ambig", idx, j) % 11 == 0 and anchor:
             other = (target_idx + 5) % n_docs
             other -= other % 5
             if other != target_idx:
                 add("link", anchor, doc_title(other, replica))
 
     # sprinkle media spans between text spans (interleaving is nontrivial)
-    if stable_hash64("media", idx) % 2 == 0:
+    if _derive_hash("media", idx) % 2 == 0:
         add(
             "media",
             f"Figure {idx % 9}: an illustrative diagram for this article.",

@@ -22,20 +22,14 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from ..functions.hashing import (
-    minhash_params,
-    minhash_signature,
-    stable_hash64,
-    stable_hash64_array,
-)
+from ..functions.hashing import md5_u64, md5_u128
 from .exchange import by_key, join, run_starts, seg_ids
 
 _WORD_RE = re.compile(r"[A-Za-z0-9_]+")
-_MASK64_U64 = np.uint64((1 << 64) - 1)
 
 
 def _text_hash(t: str) -> str:
-    return hashlib.blake2b(t.encode("utf-8"), digest_size=16).hexdigest()
+    return hashlib.md5(t.encode("utf-8")).hexdigest()
 
 
 def exact_dedup_stats(
@@ -124,129 +118,6 @@ def ngram_jaccard_vs(
 # --- MinHash + LSH --------------------------------------------------------
 
 
-class MinHashLSH:
-    """map_batches stage: doc -> ``bands`` (doc_id, band_key) rows.
-
-    num_perm permutations split into ``bands`` bands of r rows each;
-    docs sharing any band bucket are candidates.  The classic S-curve:
-    P(candidate) = 1 - (1 - j^r)^bands.  The band id is FOLDED into
-    one int64 ``band_key`` (odd-multiplier polynomial over the
-    signature chunk + a per-band salt), so the downstream exchange
-    moves a single fixed-width column.
-
-    Hot path is fully vectorized: token u64 hashes come from a
-    per-actor cache (blake2b runs once per DISTINCT token, not per
-    occurrence), shingle hashes are a numpy polynomial fold over the
-    batch-concatenated token array, and per-doc signature minima use
-    one ``minimum.reduceat`` over segment offsets — no per-doc Python
-    in the common case."""
-
-    def __init__(self, num_perm: int = 64, bands: int = 16, shingle_n: int = 3):
-        assert num_perm % bands == 0
-        self.a, self.b = minhash_params(num_perm)
-        self.bands = bands
-        self.rows_per_band = num_perm // bands
-        self.shingle_n = shingle_n
-        self._token_cache: dict = {}
-        # odd multipliers: position-mixers for shingle / band folding
-        self._sh_mult = np.array(
-            [stable_hash64("shingle-fold", i) | 1 for i in range(shingle_n)],
-            dtype=np.uint64,
-        )
-        self._band_mult = np.array(
-            [stable_hash64("band-fold", i) | 1
-             for i in range(self.rows_per_band)],
-            dtype=np.uint64,
-        )
-        self._band_salt = np.array(
-            [stable_hash64("band-salt", bi) for bi in range(bands)],
-            dtype=np.uint64,
-        )
-
-    _TOKEN_CACHE_MAX = 2_000_000  # ~100 MB of dict; heavy-tail vocab resets
-
-    def _token_hashes(self, tokens: List[str]) -> np.ndarray:
-        cache = self._token_cache
-        if len(cache) > self._TOKEN_CACHE_MAX:
-            cache.clear()  # hash values don't depend on the cache
-        new = [t for t in tokens if t not in cache]
-        if new:
-            new = list(dict.fromkeys(new))
-            for t, h in zip(new, stable_hash64_array(new, salt="tok")):
-                cache[t] = int(h)
-        return np.fromiter(
-            (cache[t] for t in tokens), dtype=np.uint64, count=len(tokens)
-        )
-
-    def _doc_shingles(self, tokens: List[str]) -> np.ndarray:
-        """uint64 shingle hashes of one doc: polynomial fold of each
-        n-token window (same word_shingles windowing: a doc shorter
-        than n yields ONE shingle over all its words)."""
-        h = self._token_hashes(tokens)
-        n = self.shingle_n
-        with np.errstate(over="ignore"):
-            if len(h) >= n:
-                w = len(h) - n + 1
-                out = np.zeros(w, dtype=np.uint64)
-                for k in range(n):
-                    out += self._sh_mult[k] * h[k : k + w]
-                return out
-            if len(h):
-                acc = np.uint64(0)
-                for k in range(len(h)):
-                    acc += self._sh_mult[k % n] * h[k]
-                return np.array([acc], dtype=np.uint64)
-        return np.empty(0, dtype=np.uint64)
-
-    def signature(self, text: str) -> np.ndarray:
-        return minhash_signature(
-            self._doc_shingles(_WORD_RE.findall(text)), self.a, self.b
-        )
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        texts = batch["text"].to_pylist()
-        n_docs = len(texts)
-        if n_docs == 0:
-            return pa.table(
-                {
-                    "doc_id": batch["doc_id"],
-                    "band_key": pa.array([], pa.int64()),
-                }
-            )
-        per_doc = [self._doc_shingles(_WORD_RE.findall(t)) for t in texts]
-        counts = np.array([len(s) for s in per_doc], dtype=np.int64)
-        nonempty = np.flatnonzero(counts)
-        sig = np.full((len(self.a), n_docs), _MASK64_U64, dtype=np.uint64)
-        if len(nonempty):
-            allsh = np.concatenate([per_doc[i] for i in nonempty])
-            starts = np.concatenate(
-                ([0], np.cumsum(counts[nonempty])[:-1])
-            )
-            with np.errstate(over="ignore"):
-                perms = (
-                    self.a[:, None] * allsh[None, :] + self.b[:, None]
-                )
-            sig[:, nonempty] = np.minimum.reduceat(perms, starts, axis=1)
-        # fold each band's r signature rows into one salted int64 key
-        chunk = sig.reshape(self.bands, self.rows_per_band, n_docs)
-        with np.errstate(over="ignore"):
-            keys = (
-                (chunk * self._band_mult[None, :, None]).sum(
-                    axis=1, dtype=np.uint64
-                )
-                + self._band_salt[:, None]
-            )
-        # doc-major order; reinterpret bits as int64 for the exchange
-        flat = keys.T.reshape(-1).view(np.int64)
-        idx = np.repeat(np.arange(n_docs), self.bands)
-        return pa.table(
-            {
-                "doc_id": batch["doc_id"].take(pa.array(idx)),
-                "band_key": pa.array(flat, pa.int64()),
-            }
-        )
-
-
 def _block_pairs(t: pa.Table) -> pa.Table:
     """Within one partition of complete band_key groups: every ordered
     pair (a < b by position after sorting on (band_key, doc_id)) of
@@ -274,35 +145,20 @@ def band_pairs(band_rows: ray.data.Dataset) -> ray.data.Dataset:
     return by_key(by_key(band_rows, "band_key", _block_pairs), ["a", "b"], _distinct_pairs)
 
 
-def md5_band_rows(documents: ray.data.Dataset) -> ray.data.Dataset:
-    """(doc_id, band_key) rows of ``minhash_bands_md5``: the top 64
-    bits of each band hash as a signed key (the hash message starts
-    with the band id, so bands never share a key)."""
+def band_rows(documents: ray.data.Dataset) -> ray.data.Dataset:
+    """(doc_id, band_key) rows of ``minhash_bands``: the top 64 bits of
+    each band hash as a signed key (the hash message starts with the
+    band id, so bands never share a key)."""
 
     def keyed(t: pa.Table) -> pa.Table:
-        bands = minhash_bands_md5(t)
+        bands = minhash_bands(t)
         keys = [int(h[:16], 16) - (1 << 63) for h in bands["band_hash"].to_pylist()]
         return pa.table({"doc_id": bands["doc_id"], "band_key": pa.array(keys, pa.int64())})
 
     return documents.map_batches(keyed, batch_format="pyarrow")
 
 
-def minhash_candidates(
-    documents: ray.data.Dataset,
-    num_perm: int = 64,
-    bands: int = 16,
-    shingle_n: int = 3,
-) -> ray.data.Dataset:
-    """Candidate near-dup pairs via LSH banding: shingle→minhash→band
-    rows (map_batches), then ``band_pairs``: one band_key-keyed
-    exchange with vectorized within-bucket pair generation, and one
-    (a, b)-keyed exchange that dedups the pairs.  Lazy."""
-    return band_pairs(
-        documents.map_batches(MinHashLSH(num_perm, bands, shingle_n), batch_format="pyarrow")
-    )
-
-
-def minhash_bands_md5(
+def minhash_bands(
     batch: pa.Table,
     num_perm: int = 16,
     bands: int = 4,
@@ -310,30 +166,18 @@ def minhash_bands_md5(
     id_col: str = "doc_id",
     text_col: str = "text",
 ) -> pa.Table:
-    """Oracle-checkable MinHash banding: every hash is md5-derived and
-    the permutation space is 2^32, so DuckDB reproduces the exact
-    (doc_id, band_id, band_hash) rows (SQL_MINHASH_BANDS).  Docs with
-    zero words emit no rows (both sides agree).  The production LSH
-    path (MinHashLSH) keeps blake2b + 2^64; this variant exists to
-    hash-verify the banding ALGORITHM end-to-end against SQL."""
-    from ..functions.hashing import md5_u128, md5_u64
-
+    """MinHash LSH banding: doc -> ``bands`` (doc_id, band_id,
+    band_hash) rows.  ``num_perm`` permutations split into ``bands``
+    bands of r rows each; docs sharing any band hash are candidates
+    (the classic S-curve: P(candidate) = 1 - (1 - j^r)^bands).  Every
+    hash is md5-derived and the permutation space is 2^32, so DuckDB
+    reproduces the exact rows (SQL_MINHASH_BANDS).  Docs with zero
+    words emit no rows (both sides agree)."""
     rows_per_band = num_perm // bands
     M = np.uint64(1 << 32)
-    a = np.array(
-        [
-            int(hashlib.md5(f"mh-a-{i}".encode()).hexdigest()[:8], 16) | 1
-            for i in range(num_perm)
-        ],
-        dtype=np.uint64,
-    )
-    b = np.array(
-        [
-            int(hashlib.md5(f"mh-b-{i}".encode()).hexdigest()[:8], 16)
-            for i in range(num_perm)
-        ],
-        dtype=np.uint64,
-    )
+    # int(hexdigest[:8], 16) == the high 32 bits of the u64 digest head
+    a = (md5_u64([f"mh-a-{i}" for i in range(num_perm)]) >> np.uint64(32)) | np.uint64(1)
+    b = md5_u64([f"mh-b-{i}" for i in range(num_perm)]) >> np.uint64(32)
     # one vectorized pass: all docs' shingles hash together, per-doc
     # signatures fall out of a single axis-1 reduceat
     ids = batch[id_col].to_pylist()
@@ -355,9 +199,7 @@ def minhash_bands_md5(
                 "band_hash": pa.array([], pa.string()),
             }
         )
-    msgs = np.char.add("sh", np.asarray(gram_parts)).astype("S")
-    # int(hexdigest[:8], 16) == the high 32 bits of the u64 digest head
-    hs = md5_u64(msgs) >> np.uint64(32)
+    hs = md5_u64(np.char.add("sh", np.asarray(gram_parts))) >> np.uint64(32)
     starts = np.asarray(starts_list, dtype=np.int64)
     with np.errstate(over="ignore"):
         perms = (a[:, None] * hs[None, :] + b[:, None]) % M  # (P, grams)
@@ -373,7 +215,7 @@ def minhash_bands_md5(
                 "%d", sig[band * rows_per_band + r].astype(np.int64)
             )
             msg = np.char.add(np.char.add(msg, "-"), nxt)
-        hi, lo = md5_u128(msg.astype("S"))
+        hi, lo = md5_u128(msg)
         out_hash[band] = np.char.add(
             np.char.mod("%016x", hi), np.char.mod("%016x", lo)
         )
@@ -543,7 +385,6 @@ def embedding_neardup_lsh(
     threshold: float = 0.95,
     n_bits: int = 8,
     seed: int = 42,
-    plane_hash: str = "blake2b",
 ) -> ray.data.Dataset:
     """Scale-path near-dup: sign-LSH bucket each vector (map_batches),
     co-locate buckets with one groupby, compute exact pairwise cosine
@@ -561,7 +402,7 @@ def embedding_neardup_lsh(
     def assign(batch: pa.Table) -> pa.Table:
         mat = np.stack(batch["embedding"].to_pylist()).astype(np.float64)
         if "lsh" not in state:
-            state["lsh"] = SignLSH(mat.shape[1], n_bits, seed, plane_hash)
+            state["lsh"] = SignLSH(mat.shape[1], n_bits, seed)
         buckets = state["lsh"].bucket(_normalize(mat))
         return pa.table(
             {
@@ -982,8 +823,6 @@ def span_ngram_occurrences(
     ``id_col`` must be integer-typed (the whole span family exchanges
     int64 doc ids; string ids would need a stable_hash64 id column
     first)."""
-    from ..functions.hashing import md5_u128, md5_u64
-
     if hash_bits not in (64, 128):
         raise ValueError("hash_bits must be 64 or 128")
 
@@ -1316,8 +1155,6 @@ def winnow_fingerprints(
     reversed-axis trick gives the rightmost tie).  Docs with < k words
     fingerprint their whole word list at pos 0."""
     from numpy.lib.stride_tricks import sliding_window_view
-
-    from ..functions.hashing import md5_u64
 
     texts = batch[text_col].to_pylist()
     ids = batch[id_col].to_pylist()

@@ -159,21 +159,14 @@ def encode_bmp(pixels: np.ndarray) -> bytes:
     return header + body
 
 
-def synthesize_image_bytes(media_ref: str, seed_hash: str = "blake2b") -> bytes:
+def synthesize_image_bytes(media_ref: str) -> bytes:
     """Deterministic fetch stand-in for the sandbox: a hash-seeded
     gradient image, REALLY encoded (alternating PPM / BMP by ref hash)
     so the decode stage exercises the true bitstream parsers.  At
-    deployment the fetch stage supplies raw bytes instead.
-    ``seed_hash='md5'`` derives the geometry seed from md5 so a DuckDB
-    oracle can predict the dims the real decoder must recover."""
-    if seed_hash == "md5":
-        import hashlib as _hashlib
-
-        hseed = int(
-            _hashlib.md5(("media-raw" + media_ref).encode()).hexdigest()[:16], 16
-        )
-    else:
-        hseed = stable_hash64("media-raw", media_ref)
+    deployment the fetch stage supplies raw bytes instead.  The seed is
+    the top 64 bits of md5('media-raw' ‖ ref), so a DuckDB oracle
+    predicts the dims the real decoder must recover."""
+    hseed = stable_hash64("media-raw" + media_ref)
     w = 8 + hseed % 25
     h = 8 + (hseed >> 8) % 25
     yy, xx = np.mgrid[0:h, 0:w]
@@ -283,18 +276,13 @@ class MediaDecoder:
         )
 
 
-def attach_raw_media(
-    media_meta: ray.data.Dataset, seed_hash: str = "blake2b"
-) -> ray.data.Dataset:
+def attach_raw_media(media_meta: ray.data.Dataset) -> ray.data.Dataset:
     """Sandbox fetch stand-in: attach a ``raw`` column of REAL encoded
     PPM/BMP bytes, deterministically derived per ref.  At deployment
     this stage is the media fetch (byte-range read / blob get)."""
 
     def attach(t: pa.Table) -> pa.Table:
-        raws = [
-            synthesize_image_bytes(r, seed_hash)
-            for r in t["media_ref"].to_pylist()
-        ]
+        raws = [synthesize_image_bytes(r) for r in t["media_ref"].to_pylist()]
         return t.append_column("raw", pa.array(raws, pa.binary()))
 
     return media_meta.map_batches(attach, batch_format="pyarrow")
@@ -305,13 +293,12 @@ def decode_media(
     fake: bool = False,
     concurrency: int | tuple = (1, 4),
     batch_size: int = 32,
-    seed_hash: str = "blake2b",
 ) -> ray.data.Dataset:
     """Full media path: project media spans -> (fetch raw bytes) ->
     actor-pool decode.  Real bitstream decode by default."""
     media = extract_media_spans(docs)
     if not fake:
-        media = attach_raw_media(media, seed_hash)
+        media = attach_raw_media(media)
     return media.map_batches(
         MediaDecoder,
         fn_constructor_kwargs={"fake": fake},
@@ -392,7 +379,7 @@ class MediaEmbedder:
         # emit_checksums appends integer provenance stats of the INPUT
         # payload (byte count / sum / position-weighted sum) — the
         # oracle-checkable fingerprint of what the model actually saw
-        # (q_media_embed_md5 predicts them in closed form)
+        # (q_media_embed predicts them in closed form)
         self.emit_checksums = emit_checksums
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -462,24 +449,18 @@ def sample_frames(
     media_meta: ray.data.Dataset,
     every_ms: int = 1000,
     fps: int = 25,
-    duration_hash: str = "blake2b",
 ) -> ray.data.Dataset:
     """Video-style frame sampling plumbing: each media ref's stream
     length is probed (fake: hash-derived duration; real: container
     header read — no full decode), then one row per sampled frame is
     emitted at ``every_ms`` intervals.  Bounded fan-out explode: the
     output row count is duration/every_ms per ref, never a per-frame
-    explosion of the whole stream.  ``duration_hash='md5'`` derives
-    the probed duration from md5 so a DuckDB oracle reproduces the
-    sampling arithmetic exactly."""
-    import hashlib as _hashlib
+    explosion of the whole stream.  The probed duration derives from
+    the top 32 bits of md5('dur' ‖ ref), so a DuckDB oracle reproduces
+    the sampling arithmetic exactly."""
 
     def _duration(r: str) -> int:
-        if duration_hash == "md5":
-            h = int(_hashlib.md5(("dur" + r).encode()).hexdigest()[:8], 16)
-        else:
-            h = stable_hash64("media-duration", r)
-        return 500 + h % 10_000
+        return 500 + (stable_hash64("dur" + r) >> 32) % 10_000
 
     def explode(t: pa.Table) -> pa.Table:
         doc_ids, refs, idxs, tss = [], [], [], []

@@ -20,7 +20,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from ..functions.hashing import stable_hash64
+from ..functions.hashing import md5_u64
 
 
 def _normalize(mat: np.ndarray) -> np.ndarray:
@@ -73,36 +73,15 @@ class SignLSH:
     """Random-projection sign-bit bucketing (deterministic planes from
     hash seeds).  Vectors in the same bucket are ANN candidates.
 
-    ``plane_hash='md5'`` derives plane coordinates as
-    ``md5_u32('lshp-{seed}-{bit}-{dim}') / 2^31 - 1`` — exactly
-    reproducible in DuckDB SQL, enabling a hash-exact oracle for the
-    IVF probe filter (SQL_KNN_IVF); the default blake2b planes have
-    one more bit of resolution."""
+    Plane coordinates are ``md5_u32('lshp-{seed}-{bit}-{dim}') / 2^31 - 1``
+    (the top 32 bits of the md5), which DuckDB reproduces exactly, so
+    the buckets, the IVF probe filter (SQL_KNN_IVF) and the LSH near-dup
+    pairs (SQL_EMBEDDING_NEARDUP_LSH) are hash-exact oracle checks."""
 
-    def __init__(
-        self, dim: int, n_bits: int = 8, seed: int = 42, plane_hash: str = "blake2b"
-    ):
-        import hashlib
-
-        rows = []
-        for b in range(n_bits):
-            if plane_hash == "md5":
-                vals = [
-                    int(
-                        hashlib.md5(f"lshp-{seed}-{b}-{d}".encode()).hexdigest()[:8],
-                        16,
-                    )
-                    / 2**31
-                    - 1.0
-                    for d in range(dim)
-                ]
-            else:
-                vals = [
-                    (stable_hash64("lsh-plane", seed, b, d) / 2**63) - 1.0
-                    for d in range(dim)
-                ]
-            rows.append(vals)
-        self.planes = np.asarray(rows, dtype=np.float64)
+    def __init__(self, dim: int, n_bits: int = 8, seed: int = 42):
+        msgs = [f"lshp-{seed}-{b}-{d}" for b in range(n_bits) for d in range(dim)]
+        top32 = (md5_u64(msgs) >> np.uint64(32)).astype(np.float64)
+        self.planes = (top32 / 2**31 - 1.0).reshape(n_bits, dim)
 
     def bucket(self, mat: np.ndarray) -> np.ndarray:
         signs = (mat @ self.planes.T) > 0
@@ -144,7 +123,6 @@ def knn_ivf(
     seed: int = 42,
     id_col: str = "vec_id",
     vec_col: str = "embedding",
-    plane_hash: str = "blake2b",
 ) -> ray.data.Dataset:
     """Approximate top-k: probe only LSH buckets within
     ``n_probe_hamming`` bits of the query's bucket — the IVF-style
@@ -152,7 +130,7 @@ def knn_ivf(
     q = np.asarray(query, dtype=np.float64)
     qn = q / max(np.linalg.norm(q), 1e-12)
     dim = len(q)
-    lsh = SignLSH(dim, n_bits, seed, plane_hash)
+    lsh = SignLSH(dim, n_bits, seed)
     q_bucket = int(lsh.bucket(qn[None, :])[0])
     probe = {
         b

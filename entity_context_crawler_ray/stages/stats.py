@@ -183,8 +183,8 @@ def _sample_u64(key: str, salt: str) -> int:
 
 def _sample_u64_vec(vals, salt: str) -> np.ndarray:
     """Vectorized ``_sample_u64`` (uint64[N]) via the numpy MD5 kernel
-    — message = ``salt + str(v)`` exactly, so every existing md5-twin
-    oracle is unchanged.  Integer/string arrays stringify through
+    — message = ``salt + str(v)`` exactly, as the oracle SQL hashes
+    it.  Integer/string arrays stringify through
     numpy (identical to ``str()`` for those types); other types fall
     back to a per-element ``str()`` (still no per-row hashlib call —
     the hashing itself is one vector kernel)."""
@@ -197,13 +197,7 @@ def _sample_u64_vec(vals, salt: str) -> np.ndarray:
         u = arr
     else:
         u = np.array([str(v) for v in arr.tolist()], dtype="U")
-    try:
-        msgs = np.char.add(salt, u).astype("S")
-    except UnicodeEncodeError:
-        msgs = np.array(
-            [(salt + s).encode("utf-8") for s in u.tolist()], dtype="S"
-        )
-    return md5_u64(msgs)
+    return md5_u64(np.char.add(salt, u))
 
 
 def sample_fraction(

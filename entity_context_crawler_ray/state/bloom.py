@@ -24,27 +24,26 @@ cannot double-mark or lose URLs (SURVEY.md §7.5(4)).
 
 from __future__ import annotations
 
-import hashlib
 import math
 from typing import Dict, List, Sequence
 
 import numpy as np
+
+from ..functions.hashing import md5_u128
 
 DEFAULT_NUM_BITS = 1 << 22
 DEFAULT_NUM_HASHES = 7
 
 
 def url_hashes(urls: Sequence[str]) -> np.ndarray:
-    """(n, 2) uint64 base hashes (h1, h2) of each url (blake2b).  This
-    per-url Python loop is nearly all of a probe's cost, so callers
-    away from the filter (presplit slice tasks) hash their own urls and
-    send the hashes (``probe_hashes``)."""
-    out = np.empty((len(urls), 2), dtype=np.uint64)
-    for j, url in enumerate(urls):
-        d = hashlib.blake2b(url.encode("utf-8"), digest_size=16).digest()
-        out[j, 0] = int.from_bytes(d[:8], "big")
-        out[j, 1] = int.from_bytes(d[8:], "big") | 1
-    return out
+    """(n, 2) uint64 base hashes (h1, h2) of each url: the two halves of
+    its md5 (``md5_u128``), h2 made odd.  Hashing is most of a probe's
+    cost, so callers away from the filter (presplit slice tasks) hash
+    their own urls and send the hashes (``probe_hashes``)."""
+    if not len(urls):
+        return np.empty((0, 2), dtype=np.uint64)
+    hi, lo = md5_u128(urls)
+    return np.stack([hi, lo | np.uint64(1)], axis=1)
 
 
 class BloomShard:

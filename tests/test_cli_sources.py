@@ -11,6 +11,7 @@ import textwrap
 
 import pyarrow.parquet as pq
 import pytest
+import ray
 import ray.data
 
 from entity_context_crawler_ray.__main__ import main
@@ -301,6 +302,11 @@ def test_driver_entry_contract():
     qs, orc = mod.queries(), mod.oracle_sql()
     assert set(orc) <= set(qs)
     assert len(orc) >= 46  # oracle coverage floor (round 4: 46)
+    # every entry but one is oracle-checked (its ln() key has no
+    # ulp-exact SQL twin), and md5 is the one hash family: no entry
+    # carries a hash-family twin
+    assert set(qs) - set(orc) == {"q_weighted_sample_fast"}
+    assert not [k for k in qs if k.endswith("_md5")]
 
     res = mod.entry()
     df = res.to_pandas() if hasattr(res, "to_pandas") else res
@@ -313,6 +319,27 @@ def test_driver_entry_contract():
         "context",
         "masked_context",
     ]
+
+
+def test_derived_inputs_are_pinned():
+    """The input generator (sources/docs.py) keeps its own hash, so a
+    change to the engine's hash never moves the derived corpus: the
+    host map and the sf0.001 docs keep the values recorded when the
+    engine's hash was blake2b."""
+    import pandas as pd
+    import pyarrow as pa
+
+    from entity_context_crawler_ray.sources import docs
+    from test_pipelines import SF  # the sf0.001 tables the data tests share
+    from tools.verify_oracles import value_hash
+
+    assert docs.DERIVATION_VERSION == 3
+    assert [docs.host_of(d) for d in ("Doc_0", "Doc_17", "Doc_r1_123")] == ["h2", "h5", "h15"]
+    t = pa.concat_tables(ray.get(docs.read_docs(SF).to_arrow_refs())).sort_by("doc_id")
+    df = pd.DataFrame(
+        {"doc_id": t["doc_id"].to_pylist(), "spans": [repr(s) for s in t["spans"].to_pylist()]}
+    )
+    assert (len(df), value_hash(df)) == (500, "e034c06cc39371f0d0922623")
 
 
 def test_host_of_parses_real_urls():

@@ -393,6 +393,10 @@ def test_doc_store_lookup(store_and_inputs):
             (s["kind"], s["text"], s["media_ref"], s["offset"])
             for s in docs_local[d]
         ]
+    # read under another partition count (or a store written under
+    # another partition hash), lookups would miss silently: refused
+    with pytest.raises(ValueError, match="another partition hash or count"):
+        DocStoreReader(store, 7).lookup(some)
 
 
 def test_host_policy_refund_restores_lifetime_budget():

@@ -55,7 +55,7 @@ EXCHANGE_QUERIES = [
     "q_dedup_clusters",
     "q_dedup_keep_best",
     "q_top_orders_per_cust",
-    "q_minhash_neardup_md5",
+    "q_minhash_neardup",
 ]
 
 
@@ -198,3 +198,12 @@ def test_exchange_queries_match_duckdb(name, duck):
     got = _rows_hash(q.queries()[name](SF))
     want = _rows_hash(duck.execute(q.oracle_sql()[name]).fetchdf())
     assert got == want
+
+
+# the sampled Stage 2 output: the per-entity ≤K md5-rank sample, crop,
+# masking and rid lookup, each checked against its DuckDB oracle
+@pytest.mark.parametrize("name", ["ecc_contexts", "ecc_contexts_sentences", "ecc_context_stats"])
+def test_sampled_contexts_match_duckdb(name, duck):
+    got = _rows_hash(q.queries()[name](SF))
+    want = _rows_hash(duck.execute(q.oracle_sql()[name]).fetchdf())
+    assert got[0] > 0 and got == want

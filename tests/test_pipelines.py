@@ -160,46 +160,6 @@ def test_contexts_deterministic_and_limited(combined, ents, idmap, mentions_by_e
     assert a.groupby("entity").size().max() <= 3
 
 
-def test_md5_rank_twin_same_chain(combined, ents, idmap, mentions_by_entity):
-    """rank_hash='md5' changes ONLY the sampling hash family: with no
-    cap the outputs are identical, with a cap the per-entity ≤K bound
-    holds and both runs of the md5 path are deterministic."""
-    import pytest as _pytest
-
-    kw = dict(context_size=80, seed=7)
-    a = (
-        build_contexts(combined, ents, idmap, mentions_by_entity, **kw)
-        .to_pandas()
-        .sort_values(["entity", "page_title", "context"])
-        .reset_index(drop=True)
-    )
-    b = (
-        build_contexts(
-            combined, ents, idmap, mentions_by_entity, rank_hash="md5", **kw
-        )
-        .to_pandas()
-        .sort_values(["entity", "page_title", "context"])
-        .reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(a, b)
-
-    capped = build_contexts(
-        combined,
-        ents,
-        idmap,
-        mentions_by_entity,
-        limit_contexts=3,
-        rank_hash="md5",
-        **kw,
-    ).to_pandas()
-    assert capped.groupby("entity").size().max() <= 3
-
-    with _pytest.raises(ValueError, match="rank_hash"):
-        build_contexts(
-            combined, ents, idmap, mentions_by_entity, rank_hash="sha1", **kw
-        ).to_pandas()
-
-
 def test_limit_entities(combined, ents, idmap, mentions_by_entity):
     df = build_contexts(
         combined, ents, idmap, mentions_by_entity, limit_entities=5

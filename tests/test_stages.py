@@ -71,7 +71,7 @@ def test_block_pairs_match_pairwise_loop():
 
 
 def test_minhash_finds_near_dups():
-    pairs = dedup.minhash_candidates(_docs_ds(), num_perm=32, bands=16).to_pandas()
+    pairs = dedup.band_pairs(dedup.band_rows(_docs_ds())).to_pandas()
     cand = set(map(tuple, pairs[["a", "b"]].to_numpy()))
     assert (1, 4) in cand  # exact dup always a candidate
     verified = dedup.verify_jaccard_pairs(
@@ -1377,6 +1377,24 @@ def test_md5_u64_matches_hashlib():
         dtype=np.uint64,
     )
     assert (hi == exp).all() and (lo == exp_lo).all()
+    # str lanes hash as their UTF-8 bytes — the value DuckDB's md5()
+    # computes over the same VARCHAR (Stage 2 rank keys carry
+    # non-ASCII titles and mentions)
+    import duckdb
+
+    words = ["Zürich", "São Paulo\x1f12\x1fé", "東京" * 30, "plain", ""]
+    want = [int.from_bytes(hashlib.md5(w.encode("utf-8")).digest()[:8], "big") for w in words]
+    assert md5_u64(words).tolist() == want
+    assert md5_u64(np.array(words, dtype=object)).tolist() == want
+    con = duckdb.connect()
+    duck = [
+        con.execute("SELECT CAST(('0x' || substr(md5(?), 1, 16)) AS UBIGINT)", [w]).fetchone()[0]
+        for w in words
+    ]
+    con.close()
+    assert duck == want
+    hi, _ = md5_u128(words)
+    assert hi.tolist() == want
 
 
 def test_weighted_sample_both_modes_match_local_recomputation():
@@ -1640,7 +1658,7 @@ def test_vectorized_kernels_empty_and_degenerate_batches():
     assert textstats.simhash64(empty).num_rows == 0
     assert textstats.QualityModel(dim=64)(empty).num_rows == 0
     assert dedup.winnow_fingerprints(empty).num_rows == 0
-    assert dedup.minhash_bands_md5(empty).num_rows == 0
+    assert dedup.minhash_bands(empty).num_rows == 0
     # empty TEXT rows (not empty batches)
     one = pa.table(
         {"doc_id": pa.array([1], pa.int64()), "text": pa.array([""], pa.string())}
