@@ -844,7 +844,7 @@ def span_ngram_occurrences(
             off_parts.append(np.arange(m, dtype=np.int64))
         cols: dict = {}
         if gram_parts:
-            grams = np.concatenate(gram_parts).astype("S")
+            grams = np.concatenate(gram_parts)
             if hash_bits == 128:
                 hi, lo = md5_u128(grams)
                 cols["key_hi"] = pa.array(hi.view(np.int64), pa.int64())
@@ -1169,7 +1169,7 @@ def winnow_fingerprints(
             )
         else:
             gram_parts.append(" ".join(ws_))
-    hs = md5_u64(np.asarray(gram_parts, dtype="S"))
+    hs = md5_u64(gram_parts)
     out_id, out_pos, out_fp = [], [], []
     lens = np.diff(np.append(starts, len(hs)))
     for i, d in enumerate(ids):

@@ -189,7 +189,7 @@ def cdc_chunks(
                 g = arr[: m - w + 1]
                 for j in range(1, w):
                     g = np.char.add(np.char.add(g, " "), arr[j : j + m - w + 1])
-                h = md5_u64(g.astype("S"))
+                h = md5_u64(g)
                 # boundary after position p = (w-1) + idx where the
                 # window hash has its low mask_bits zero; the last
                 # position never opens an empty trailing chunk
@@ -200,10 +200,7 @@ def cdc_chunks(
             starts = np.concatenate(([0], bpos + 1))
             ends = np.concatenate((bpos + 1, [m]))
             keys = md5_u64(
-                np.asarray(
-                    [" ".join(toks[s:e]) for s, e in zip(starts, ends)],
-                    dtype="S",
-                )
+                [" ".join(toks[s:e]) for s, e in zip(starts, ends)]
             )
             for cid, (s, e, k) in enumerate(zip(starts, ends, keys)):
                 out_id.append(d)

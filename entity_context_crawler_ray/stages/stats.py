@@ -277,14 +277,14 @@ def _es_priority_partial(
             msgs = np.char.add(
                 np.char.add(pref[row_i], "-"), i_within.astype("U")
             )
-            h = md5_u64(msgs.astype("S"))
+            h = md5_u64(msgs)
             pri = np.maximum.reduceat(h, starts)
             # shift into signed range so the Dataset sort is exact
             cols["pri"] = pa.array(
                 (pri ^ np.uint64(1 << 63)).view(np.int64), pri_type
             )
         else:
-            u = md5_u64(pref.astype("S")).astype(np.float64) + 1.0
+            u = md5_u64(pref).astype(np.float64) + 1.0
             pri = np.log(u / float(U64)) / w
             cols["pri"] = pa.array(pri, pri_type)
         return pa.table(cols)

@@ -113,7 +113,7 @@ def fingerprint(batch: pa.Table, text_col: str = "text", shingle: int = 5) -> pa
             )
         else:
             gram_parts.append(" ".join(ws))
-    hi, lo = md5_u128(np.asarray(gram_parts, dtype="S"))
+    hi, lo = md5_u128(gram_parts)
     min_hi = np.minimum.reduceat(hi, starts)
     doc_of = np.repeat(
         np.arange(len(texts)), np.diff(np.append(starts, len(hi)))
@@ -316,7 +316,7 @@ def simhash64(batch: pa.Table, text_col: str = "text") -> pa.Table:
         words.extend(sorted(set(_WORD_RE.findall(t.lower()))))
     sigs = np.full(len(texts), -(1 << 63), dtype=np.int64)
     if words:
-        hs = md5_u64(np.asarray(words, dtype="S"))
+        hs = md5_u64(words)
         # (n_words, 64) ±1 bit matrix, summed per doc with one reduceat
         bits = (
             (hs[:, None] >> np.arange(64, dtype=np.uint64)[None, :])
@@ -705,7 +705,7 @@ class QualityModel:
             words.extend(_SYM_RE.findall(t.lower()))
         scores = np.zeros(len(texts), dtype=np.int64)
         if words:
-            msgs = np.char.add(self.salt, np.asarray(words)).astype("S")
+            msgs = np.char.add(self.salt, np.asarray(words))
             buckets = md5_u64(msgs) % np.uint64(self.dim)
             wt = self.weights[buckets.astype(np.int64)]
             # per-doc sums over wt padded with one zero, so a trailing

@@ -24,12 +24,12 @@ cannot double-mark or lose URLs (SURVEY.md §7.5(4)).
 
 from __future__ import annotations
 
+import hashlib
 import math
 from typing import Dict, List, Sequence
 
 import numpy as np
 
-from ..functions.hashing import md5_u128
 
 DEFAULT_NUM_BITS = 1 << 22
 DEFAULT_NUM_HASHES = 7
@@ -37,13 +37,19 @@ DEFAULT_NUM_HASHES = 7
 
 def url_hashes(urls: Sequence[str]) -> np.ndarray:
     """(n, 2) uint64 base hashes (h1, h2) of each url: the two halves of
-    its md5 (``md5_u128``), h2 made odd.  Hashing is most of a probe's
-    cost, so callers away from the filter (presplit slice tasks) hash
-    their own urls and send the hashes (``probe_hashes``)."""
+    its md5 read big-endian (the bits ``md5_u128`` gives), h2 made odd.
+    One ``hashlib`` call per url: at a round's few dozen urls, and on
+    urls longer than one md5 block, it beats the vectorized kernel
+    (one Xeon core, 20- and 90-byte urls; 53 urls: 0.05-0.07 ms against
+    0.7-1.0 ms; 100k urls: 74-82 ms against 77-114 ms).  Hashing is most of a probe's cost, so callers away
+    from the filter (presplit slice tasks) hash their own urls and send
+    the hashes (``probe_hashes``)."""
     if not len(urls):
         return np.empty((0, 2), dtype=np.uint64)
-    hi, lo = md5_u128(urls)
-    return np.stack([hi, lo | np.uint64(1)], axis=1)
+    digests = b"".join(hashlib.md5(u.encode("utf-8")).digest() for u in urls)
+    hashes = np.frombuffer(digests, dtype=">u8").reshape(-1, 2).astype(np.uint64)
+    hashes[:, 1] |= np.uint64(1)
+    return hashes
 
 
 class BloomShard:

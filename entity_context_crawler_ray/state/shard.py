@@ -40,6 +40,11 @@ from .frontier import (
 from .politeness import PolitenessShard
 from .storage import get_store
 
+# Snapshot marker: seen-filter bits keyed by url md5 in the shard that
+# owns the url's host by md5 (politeness_shard_of).  Checkpoints carrying
+# any other marker were written under another hash or sharding.
+SNAPSHOT_KEYING = "host-md5"
+
 
 class CrawlStateShard:
     def __init__(
@@ -181,19 +186,23 @@ class CrawlStateShard:
     # --- checkpoint -------------------------------------------------------
 
     def snapshot(self) -> Dict:
-        # "sharded_by" marks bits keyed by host: bits an older crawl
-        # keyed by url hash would restore without error and then miss
-        # seen URLs
+        # "sharded_by" names how the state is keyed: bits and host
+        # shards by md5 of the host / url.  A checkpoint keyed any other
+        # way (by url hash, or by blake2b) would restore without error
+        # and then miss seen URLs, split hosts across shards and rename
+        # re-run page files
         return {
-            "bloom": {**self.bloom.snapshot(), "sharded_by": "host"},
+            "bloom": {**self.bloom.snapshot(), "sharded_by": SNAPSHOT_KEYING},
             "politeness": self.politeness.snapshot(),
         }
 
     def restore(self, bloom_snap: Dict, politeness_snap: Dict) -> None:
-        if bloom_snap.get("sharded_by") != "host":
+        keying = bloom_snap.get("sharded_by")
+        if keying != SNAPSHOT_KEYING:
             raise ValueError(
-                "checkpoint seen-filter bits are not sharded by host; they "
-                "were written by an older crawl and cannot be resumed"
+                f"checkpoint crawl state is keyed by {keying!r}, this crawl "
+                f"by {SNAPSHOT_KEYING!r}; it cannot be resumed: re-crawl "
+                "without --resume"
             )
         self.bloom.restore(bloom_snap)
         self.politeness.restore(politeness_snap)

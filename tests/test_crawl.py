@@ -943,13 +943,15 @@ def test_state_shard_snapshot_restore_roundtrip(tmp_path):
     ra = a.schedule(1, in_dir, str(tmp_path / "a1"))
     rb = b.schedule(1, in_dir, str(tmp_path / "b1"))
     assert ra == rb
-    # bits keyed by url hash (an older checkpoint) are refused, not
-    # silently restored into host-keyed shards
-    old_bits = {k: v for k, v in snap["bloom"].items() if k != "sharded_by"}
-    with pytest.raises(ValueError, match="not sharded by host"):
-        CrawlStateShard(0, num_shards, 1 << 16, pol_cfg, 5, 10.0).restore(
-            old_bits, snap["politeness"]
-        )
+    # state keyed another way is refused, not silently restored: bits
+    # keyed by url hash (no marker), and host-keyed state under the
+    # earlier blake2b hash (marker "host")
+    bits = {k: v for k, v in snap["bloom"].items() if k != "sharded_by"}
+    for old_bits in (bits, {**bits, "sharded_by": "host"}):
+        with pytest.raises(ValueError, match="re-crawl"):
+            CrawlStateShard(0, num_shards, 1 << 16, pol_cfg, 5, 10.0).restore(
+                old_bits, snap["politeness"]
+            )
 
 
 def test_crawl_resume_equivalence_three_shards(store_and_inputs):

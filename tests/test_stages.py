@@ -1395,6 +1395,17 @@ def test_md5_u64_matches_hashlib():
     assert duck == want
     hi, _ = md5_u128(words)
     assert hi.tolist() == want
+    # callers pass str keys straight through: a weighted sample keyed by
+    # a non-ASCII string column hashes the keys' UTF-8 bytes
+    from entity_context_crawler_ray.stages.stats import U64, _es_priority_partial
+
+    t = pa.table({"k": ["Zürich", "東京"], "w": [2, 1]})
+    pri = _es_priority_partial(["k"], "w", "fixedpoint", "s", 8)(t)["pri"]
+    h = [int.from_bytes(hashlib.md5(("s" + k).encode("utf-8")).digest()[:8], "big")
+         for k in ["Zürich", "東京"]]
+    assert pri.to_pylist() == pytest.approx(
+        [np.log((h[0] + 1.0) / U64) / 2, np.log((h[1] + 1.0) / U64)]
+    )
 
 
 def test_weighted_sample_both_modes_match_local_recomputation():
