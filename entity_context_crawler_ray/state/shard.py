@@ -40,9 +40,11 @@ from .frontier import (
 from .politeness import PolitenessShard
 from .storage import get_store
 
-# Snapshot marker: seen-filter bits keyed by url md5 in the shard that
-# owns the url's host by md5 (politeness_shard_of).  Checkpoints carrying
-# any other marker were written under another hash or sharding.
+# Snapshot marker naming how crawl state is keyed: seen-filter bits by
+# url md5, in the shard owning the url's host by md5 (politeness_shard_of).
+# A checkpoint keyed any other way (bits by url shard, or an earlier hash)
+# would restore without error and then miss seen URLs, split hosts across
+# shards and rename re-run page files, so restore refuses it.
 SNAPSHOT_KEYING = "host-md5"
 
 
@@ -186,11 +188,6 @@ class CrawlStateShard:
     # --- checkpoint -------------------------------------------------------
 
     def snapshot(self) -> Dict:
-        # "sharded_by" names how the state is keyed: bits and host
-        # shards by md5 of the host / url.  A checkpoint keyed any other
-        # way (by url hash, or by blake2b) would restore without error
-        # and then miss seen URLs, split hosts across shards and rename
-        # re-run page files
         return {
             "bloom": {**self.bloom.snapshot(), "sharded_by": SNAPSHOT_KEYING},
             "politeness": self.politeness.snapshot(),
