@@ -28,10 +28,13 @@ rounds, with
   (its hosts' candidates) between rounds, written in place by the producers
   (partition-on-write, state/frontier.py); the driver never holds the
   frontier,
-- per-round **checkpoints** (frontier dir reference + bloom/
-  politeness snapshots + manifest, state/checkpoint.py) making the
-  crawl resumable, and per-round partitioned parquet output
-  (``out_dir/round=r/``) with a ``round`` lineage column.
+- per-round **checkpoints** (manifest with the frontier dir
+  reference + politeness snapshots, state/checkpoint.py) making the
+  crawl resumable; the seen filters are rebuilt on resume from the
+  per-round fetch log (``out_dir/fetch_log/round_{r}.parquet``), which
+  holds exactly the URLs they marked, and per-round partitioned
+  parquet output (``out_dir/round=r/``) with a ``round`` lineage
+  column.
 
 Round semantics (the conformance definition the parity simulator in
 tests/crawl_sim reproduces):
@@ -526,25 +529,36 @@ def crawl(
     ]
 
     start_round = 0
+    # fetch-log rows over every round so far: the checkpoint records it,
+    # and a resume checks the log it rebuilds the seen filters from
+    fetched = 0
+    log_dir = os.path.join(out_dir, "fetch_log")
     # The frontier lives on storage only: frontier_dir is the bucketed
     # parquet dir the next round schedules from, and frontier_rows its
     # candidate-row count (a pre-dedup upper bound; 0 ends the crawl).
-    if resume and ckpt_dir is not None and latest_round(ckpt_dir) is not None:
-        state = load_checkpoint(ckpt_dir, out_dir=out_dir)
-        if len(state["bloom"]) != num_shards:
-            raise ValueError(
-                f"checkpoint holds {len(state['bloom'])} state shards, "
-                f"config has num_politeness_shards={num_shards}"
-            )
+    resuming = resume and ckpt_dir is not None and latest_round(ckpt_dir) is not None
+    if resuming:
+        state = load_checkpoint(ckpt_dir, num_shards, out_dir=out_dir)
         start_round = state["round"] + 1
         frontier_dir = state["frontier_dir"]
         frontier_rows = state["frontier_rows"]
+        fetched = state["fetched"]
         ready = [
-            h.restore.remote(b, p)
-            for h, b, p in zip(shards, state["bloom"], state["politeness"])
+            h.restore.remote(p, log_dir, state["round"])
+            for h, p in zip(shards, state["politeness"])
         ]
     else:
+        # a fresh crawl owns its output and checkpoint rounds: an earlier
+        # crawl's pages, frontier and fetch log left there would mix into
+        # this crawl's output, and a later resume would pick up its
+        # checkpoint rounds
         shutil.rmtree(os.path.join(out_dir, "frontier"), ignore_errors=True)
+        shutil.rmtree(log_dir, ignore_errors=True)
+        stale = _glob.glob(os.path.join(out_dir, "round=*"))
+        if ckpt_dir is not None:
+            stale += _glob.glob(os.path.join(ckpt_dir, "round=*"))
+        for d in stale:
+            shutil.rmtree(d)
         urls = seeds["url"].to_pylist()
         seed_tbl = pa.table(
             {
@@ -569,7 +583,13 @@ def crawl(
 
     # the first call on a fresh actor waits for its process to start;
     # the seed write and preload above ran meanwhile
-    ray.get(ready)
+    rebuilt = ray.get(ready)
+    if resuming and sum(rebuilt) != fetched:
+        raise ValueError(
+            f"the fetch log under {log_dir} holds {sum(rebuilt)} rows through "
+            f"round {start_round - 1}, the checkpoint recorded {fetched}; "
+            "re-crawl without --resume"
+        )
     metrics: Dict = {
         "rounds": [],
         "urls_fetched": 0,
@@ -598,8 +618,8 @@ def crawl(
 
         # scheduling: combine -> probe -> admission -> sort + budget
         # split; then one commit per shard marks the fetch set seen and
-        # refunds the global cut (and returns the shard's snapshot when
-        # checkpointing) while the round fetches
+        # refunds the global cut (and returns the shard's politeness
+        # snapshot when checkpointing) while the round fetches
         (
             fetch_tbl,
             n_deferred,
@@ -609,20 +629,24 @@ def crawl(
             refunds,
         ) = _schedule_round(frontier_dir, next_dir, shards, config, round_id)
         commits = [
-            h.commit.remote(round_id, urls, refunds.get(s, {}), ckpt_dir is not None)
+            h.commit.remote(urls, refunds.get(s, {}), ckpt_dir is not None)
             for s, (h, urls) in enumerate(zip(shards, _urls_by_shard(fetch_tbl, num_shards)))
         ]
         _mark("schedule")
 
-        # fetch log (crawl-ordering parity artifact)
-        log_dir = os.path.join(out_dir, "fetch_log")
+        # fetch log: the crawl-ordering parity artifact, and the durable
+        # seen state a resume rebuilds the filters from — temp + atomic
+        # rename, so a kill never leaves a truncated round file
         os.makedirs(log_dir, exist_ok=True)
         log_tbl = fetch_tbl.append_column(
             "rank", pa.array(range(fetch_tbl.num_rows), pa.int64())
         ).append_column(
             "round", pa.array([round_id] * fetch_tbl.num_rows, pa.int32())
         )
-        pq.write_table(log_tbl, os.path.join(log_dir, f"round_{round_id}.parquet"))
+        log_path = os.path.join(log_dir, f"round_{round_id}.parquet")
+        pq.write_table(log_tbl, f"{log_path}.tmp")
+        os.replace(f"{log_path}.tmp", log_path)
+        fetched += fetch_tbl.num_rows
         _mark("log")
 
         n_links_rows = 0
@@ -700,10 +724,10 @@ def crawl(
             save_checkpoint(
                 ckpt_dir,
                 round_id,
-                [s["bloom"] for s in snaps],
-                [s["politeness"] for s in snaps],
+                snaps,
                 frontier_dir=frontier_dir,
                 frontier_rows=frontier_rows,
+                fetched=fetched,
                 out_dir=out_dir,
             )
             checkpoint_s += time.time() - t_ckpt

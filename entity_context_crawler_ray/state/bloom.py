@@ -20,13 +20,19 @@ point, size the per-shard budget for the most URLs one shard can own.
 Idempotence: ``probe`` is read-only; ``set_seen`` is a pure
 bit-OR, so re-applying a retried batch is a no-op — task retries
 cannot double-mark or lose URLs (SURVEY.md §7.5(4)).
+
+Durability: the filter is never checkpointed.  Its bits are a
+function of the URLs inserted, which are exactly the crawl's fetch log
+(``CrawlStateShard.commit`` marks the fetch set seen), so a resumed
+crawl rebuilds each shard's filter from the log
+(``CrawlStateShard.restore``), bit for bit.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -97,28 +103,3 @@ class BloomShard:
         k = self.num_hashes
         return (1.0 - math.exp(-k * self.count / self.num_bits)) ** k
 
-    # --- checkpoint -------------------------------------------------------
-
-    def snapshot(self) -> Dict:
-        snap = {"num_bits": self.num_bits, "num_hashes": self.num_hashes, "count": self.count}
-        # every shard holds the whole budget, so most shards are lightly
-        # filled (at most k bits per insert): store such a filter as its
-        # nonzero bytes, so checkpoint bytes follow the load, not the size
-        nz = np.flatnonzero(self.bits)
-        if nz.size * 9 < self.bits.size:
-            snap["nonzero_at"] = nz.tobytes()
-            snap["nonzero"] = self.bits[nz].tobytes()
-        else:
-            snap["bits"] = self.bits.tobytes()
-        return snap
-
-    def restore(self, snap: Dict) -> None:
-        assert snap["num_bits"] == self.num_bits and snap["num_hashes"] == self.num_hashes
-        if "bits" in snap:
-            self.bits = np.frombuffer(snap["bits"], dtype=np.uint8).copy()
-        else:
-            self.bits = np.zeros(self.num_bits // 8, dtype=np.uint8)
-            self.bits[np.frombuffer(snap["nonzero_at"], dtype=np.intp)] = np.frombuffer(
-                snap["nonzero"], dtype=np.uint8
-            )
-        self.count = snap["count"]

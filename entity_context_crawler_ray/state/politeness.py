@@ -12,10 +12,12 @@ A ``PolitenessShard`` holds the buckets of every host with
 shard ``s`` (state/shard.py), beside that shard's seen filter.  The
 pure ``HostPolicy`` class is reused by the crawl-parity simulator.
 
-Determinism / idempotence: ``admit`` is called exactly once per
-(round, host) because the crawl loop groups candidates by host before
-admission; a retried call with the same (round, host) key returns the
-cached decision instead of double-charging the bucket.
+Determinism: ``admit`` is called exactly once per (round, host),
+because the state shard groups its bucket's candidates by host before
+admission.  Every ``admit`` and ``refund`` runs inside a state shard
+actor method, and Ray re-sends no actor method call (actors start with
+``max_restarts=0`` and ``max_task_retries=0``), so no call is applied
+twice and the shard keeps no replay cache.
 """
 
 from __future__ import annotations
@@ -115,7 +117,6 @@ class PolitenessShard:
         self.config = config
         self.clock = clock
         self.hosts: Dict[str, HostPolicy] = {}
-        self._cache: Dict[tuple, tuple] = {}
 
     def _host(self, host: str) -> HostPolicy:
         if host not in self.hosts:
@@ -130,56 +131,8 @@ class PolitenessShard:
         return self.hosts[host]
 
     def admit(self, round_id: int, host: str, urls_by_priority: List[str]):
-        """Idempotent per (round, host).  The cache stores a COMPACT
-        record — (n_urls, n_room, n_take) — not the URL lists: a
-        retried call arrives with the identical (deterministically
-        ordered) url list, so the full decision is replayed from the
-        two boundary counts + the static deny prefixes.  Without this,
-        a bucketed round over millions of hosts would retain every
-        URL string of the round in actor memory."""
-        key = ("admit", round_id, host)
-        hit = self._cache.get(key)
-        # cheap content fingerprint: replaying cached boundary counts
-        # onto a DIFFERENT or reordered url list would silently admit
-        # the wrong urls; the invariant is checked, not assumed
-        fp = stable_hash64("\x1f".join(urls_by_priority))
-        if hit is None:
-            adm, dfr, den = self._host(host).admit(round_id, urls_by_priority)
-            self._cache[key] = (
-                len(urls_by_priority),
-                len(adm) + len(dfr),
-                len(adm),
-                fp,
-            )
-            self._evict_cache(round_id)
-            return adm, dfr, den
-        n_urls, n_room, n_take, cached_fp = hit
-        if n_urls != len(urls_by_priority) or cached_fp != fp:
-            raise ValueError(
-                f"politeness replay mismatch for {(round_id, host)}: "
-                f"cached n_urls={n_urls} fp={cached_fp}, got "
-                f"{len(urls_by_priority)} fp={fp}"
-            )
-        return self._replay_admit(host, urls_by_priority, n_room, n_take)
-
-    def _replay_admit(
-        self, host: str, urls: List[str], n_room: int, n_take: int
-    ) -> Tuple[List[str], List[str], List[str]]:
-        """Reconstruct an earlier admit decision from its boundary
-        counts: the original walk denies prefix matches, cuts
-        ``allowed`` at the lifetime-budget ``room``, then admits the
-        first ``take`` — all order-preserving, so counts suffice."""
-        prefixes = self._host(host).deny_prefixes
-        allowed: List[str] = []
-        denied: List[str] = []
-        for url in urls:
-            if any(url.startswith(p) for p in prefixes):
-                denied.append(url)
-            else:
-                allowed.append(url)
-        denied.extend(allowed[n_room:])
-        allowed = allowed[:n_room]
-        return allowed[:n_take], allowed[n_take:], denied
+        """``HostPolicy.admit`` on ``host``'s bucket."""
+        return self._host(host).admit(round_id, urls_by_priority)
 
     def admit_many(
         self, round_id: int, hosts: List[str], url_lists: List[List[str]]
@@ -187,9 +140,7 @@ class PolitenessShard:
         """Admit every host of one frontier bucket at once, returning
         per-host status lists aligned with the input url order ('admit'
         | 'defer' | 'deny').  Each url list must arrive sorted by
-        (priority desc, url asc); the per-host decisions go through the
-        same idempotent cache as ``admit``, so a retried bucket replays
-        identical results."""
+        (priority desc, url asc)."""
         out: List[List[str]] = []
         for host, urls in zip(hosts, url_lists):
             adm, dfr, den = self.admit(round_id, host, urls)
@@ -203,36 +154,11 @@ class PolitenessShard:
             out.append([status[u] for u in urls])
         return out
 
-    def refund(self, round_id: int, host: str, n: int, source: str = "global") -> None:
-        """Idempotent per (round, host, source): return ``n``
-        over-round-budget admission charges (see HostPolicy.refund).
-        ``source`` distinguishes independent refund origins in the same
-        round (each frontier bucket's local truncation + the driver's
-        global cut) — same-source retries are swallowed, distinct
-        sources accumulate."""
-        key = ("refund", round_id, host, source)
-        if key not in self._cache:
-            self._host(host).refund(n)
-            self._cache[key] = n
-            self._evict_cache(round_id)
-
-    def refund_many(
-        self, round_id: int, host_counts: Dict[str, int], source: str = "global"
-    ) -> None:
-        """Refund every host of one source at once."""
+    def refund_many(self, host_counts: Dict[str, int]) -> None:
+        """Return ``n`` over-round-budget admission charges to each
+        host (see HostPolicy.refund)."""
         for host, n in host_counts.items():
-            self.refund(round_id, host, n, source)
-
-    def _evict_cache(self, current_round: int) -> None:
-        # Only decisions from PAST rounds are safe to drop: the crawl
-        # loop never re-issues a (round, host) call once the round has
-        # completed, so a Ray retry can only target the current round.
-        # Clearing indiscriminately (the old behavior) let a retried
-        # current-round call re-execute admit and double-charge tokens.
-        if len(self._cache) > 4096:
-            self._cache = {
-                k: v for k, v in self._cache.items() if k[1] >= current_round
-            }
+            self._host(host).refund(n)
 
     def snapshot(self) -> Dict:
         return {
@@ -251,7 +177,6 @@ class PolitenessShard:
     def restore(self, snap: Dict) -> None:
         self.config = snap["config"]
         self.hosts = {}
-        self._cache = {}
         for h, st in snap["hosts"].items():
             pol = self._host(h)
             pol.tokens = st["tokens"]

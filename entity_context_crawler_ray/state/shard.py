@@ -11,7 +11,9 @@ bloom probe → per-host admission → write deferrals → local top-budget
 shards schedule in parallel, so the shard count is the round's
 scheduling parallelism.  After the driver's global budget cut, one
 ``commit`` call per shard marks the fetched URLs seen, refunds the
-cut, and (when the crawl checkpoints) returns the shard's snapshot.
+cut, and (when the crawl checkpoints) returns the politeness snapshot.
+The seen filter is not snapshotted: ``restore`` rebuilds it from the
+fetch log, which holds exactly the URLs ``commit`` marked.
 
 The class is plain Python, so tests drive it in-process;
 ``CrawlStateShardActor`` is the deployed form (one per shard, started
@@ -27,6 +29,7 @@ import numpy as np
 
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import ray
 
 from .bloom import BloomShard
@@ -37,15 +40,8 @@ from .frontier import (
     to_ipc,
     write_bucketed,
 )
-from .politeness import PolitenessShard
+from .politeness import PolitenessShard, politeness_shard_of
 from .storage import get_store
-
-# Snapshot marker naming how crawl state is keyed: seen-filter bits by
-# url md5, in the shard owning the url's host by md5 (politeness_shard_of).
-# A checkpoint keyed any other way (bits by url shard, or an earlier hash)
-# would restore without error and then miss seen URLs, split hosts across
-# shards and rename re-run page files, so restore refuses it.
-SNAPSHOT_KEYING = "host-md5"
 
 
 class CrawlStateShard:
@@ -140,7 +136,6 @@ class CrawlStateShard:
         defer_parts: List[pa.Table] = []
         # local truncate: rows beyond the bucket's own top round_budget
         # cannot make the global top, so defer AND refund them here
-        # (source-tagged so the driver's global-cut refund still lands)
         if admitted.num_rows > self.round_budget:
             admitted = admitted.take(
                 pc.sort_indices(
@@ -152,7 +147,7 @@ class CrawlStateShard:
             per_host: Dict[str, int] = {}
             for h in cut["host"].to_pylist():
                 per_host[h] = per_host.get(h, 0) + 1
-            self.politeness.refund_many(round_id, per_host, f"local:{bucket}")
+            self.politeness.refund_many(per_host)
             defer_parts.append(cut)
         defer_parts.append(cand.take(pa.array(defer_i, pa.int64())))
         n_deferred = write_bucketed(
@@ -165,18 +160,16 @@ class CrawlStateShard:
 
     def commit(
         self,
-        round_id: int,
         fetched_urls: Sequence[str],
         refunds: Dict[str, int],
         snapshot: bool = False,
     ) -> Optional[Dict]:
-        """End of the round's scheduling: mark the fetched URLs seen
-        (idempotent bit-OR), refund the admissions the driver's global
-        budget cut (idempotent per round), and return the snapshot when
-        the crawl checkpoints this round."""
+        """End of the round's scheduling: mark the fetched URLs seen,
+        refund the admissions the driver's global budget cut, and return
+        the politeness snapshot when the crawl checkpoints this round."""
         self.bloom.set_seen(fetched_urls)
-        self.politeness.refund_many(round_id, refunds)
-        return self.snapshot() if snapshot else None
+        self.politeness.refund_many(refunds)
+        return self.politeness.snapshot() if snapshot else None
 
     def stats(self) -> Dict:
         return {
@@ -185,24 +178,35 @@ class CrawlStateShard:
             "bloom_fpr_est": self.bloom.estimated_fpr(),
         }
 
-    # --- checkpoint -------------------------------------------------------
-
-    def snapshot(self) -> Dict:
-        return {
-            "bloom": {**self.bloom.snapshot(), "sharded_by": SNAPSHOT_KEYING},
-            "politeness": self.politeness.snapshot(),
-        }
-
-    def restore(self, bloom_snap: Dict, politeness_snap: Dict) -> None:
-        keying = bloom_snap.get("sharded_by")
-        if keying != SNAPSHOT_KEYING:
-            raise ValueError(
-                f"checkpoint crawl state is keyed by {keying!r}, this crawl "
-                f"by {SNAPSHOT_KEYING!r}; it cannot be resumed: re-crawl "
-                "without --resume"
-            )
-        self.bloom.restore(bloom_snap)
+    def restore(self, politeness_snap: Dict, log_dir: str, through_round: int) -> int:
+        """Resume from a checkpoint: restore the politeness buckets and
+        rebuild the seen filter from the fetch log of rounds
+        0..``through_round`` — the rows whose host this shard owns, the
+        same urls ``commit`` marked, so the bits and insert count equal
+        the live shard's.  Returns the number of rows inserted; a missing
+        or unreadable log file raises."""
         self.politeness.restore(politeness_snap)
+        n = 0
+        for r in range(through_round + 1):
+            path = os.path.join(log_dir, f"round_{r}.parquet")
+            try:
+                log = pq.read_table(path, columns=["url", "host"])
+            except (OSError, pa.ArrowInvalid) as e:
+                raise ValueError(
+                    f"fetch log of round {r} is missing or unreadable: {e}; "
+                    "re-crawl without --resume"
+                ) from e
+            # each distinct host of the round hashed once
+            hosts = pc.dictionary_encode(log["host"].combine_chunks())
+            owned = [
+                politeness_shard_of(h, self.num_shards) == self.shard_id
+                for h in hosts.dictionary.to_pylist()
+            ]
+            mine = pc.take(pa.array(owned, pa.bool_()), hosts.indices)
+            urls = log["url"].filter(mine).to_pylist()
+            self.bloom.set_seen(urls)
+            n += len(urls)
+        return n
 
 
 CrawlStateShardActor = ray.remote(num_cpus=0)(CrawlStateShard)

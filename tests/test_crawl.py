@@ -5,6 +5,10 @@ hot-bucket presplit."""
 import glob
 import os
 import shutil
+import signal
+import subprocess
+import sys
+import time
 
 import pandas as pd
 import pyarrow as pa
@@ -30,6 +34,7 @@ from entity_context_crawler_ray.state.politeness import HostPolicy
 from crawl_sim import simulate_crawl
 
 SF = "/root/testdata/sf0.001"
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BASE = "/tmp/ecc_test_crawl"
 
 
@@ -44,20 +49,6 @@ def test_bloom_shard_basics():
     # idempotent re-mark
     b.set_seen(urls[:50])
     assert b.probe(urls[:50]) == [True] * 50
-    # snapshot round-trip
-    snap = b.snapshot()
-    b2 = BloomShard(num_bits=1 << 16)
-    b2.restore(snap)
-    assert b2.probe(urls[:50]) == [True] * 50
-    assert "nonzero" in snap and b2.bits.tobytes() == b.bits.tobytes()
-    # a well-filled filter snapshots its dense bit array
-    full = BloomShard(num_bits=1 << 10)
-    full.set_seen(urls)
-    dense = full.snapshot()
-    assert "bits" in dense
-    full2 = BloomShard(num_bits=1 << 10)
-    full2.restore(dense)
-    assert full2.bits.tobytes() == full.bits.tobytes()
 
 
 def test_host_policy_budget_and_robots():
@@ -451,16 +442,6 @@ def test_politeness_shard_wallclock_snapshot_roundtrip():
     assert adm == ["d", "e"] and dfr == ["f"]  # 2s elapsed -> 2 tokens
 
 
-def test_politeness_shard_refund_idempotent():
-    from entity_context_crawler_ray.state.politeness import PolitenessShard
-
-    s = PolitenessShard({"capacity": 5, "refill": 5, "budget": {"h": 5}})
-    s.admit(0, "h", ["a", "b", "c", "d"])
-    s.refund_many(0, {"h": 2})
-    s.refund_many(0, {"h": 2})  # retried call: must not double-refund
-    assert s.hosts["h"].fetched_total == 2
-
-
 def test_crawl_depth2_matches_simulator(store_and_inputs):
     """Deeper frontier (links of depth-1 pages followed too)."""
     store, ref, docs_local, idx, seeds = store_and_inputs
@@ -614,44 +595,6 @@ def test_crawl_edge_cases(store_and_inputs):
     assert m["urls_fetched"] == 0 and m["rounds"] == []
 
 
-def test_politeness_admit_replay_compact():
-    """Retried admit calls replay the cached decision exactly — and the
-    cache stores only boundary counts, never the URL lists (a bucketed
-    round over millions of hosts must not retain the round's URL
-    strings in actor memory)."""
-    from entity_context_crawler_ray.state.politeness import PolitenessShard
-
-    shard = PolitenessShard(
-        {
-            "capacity": 3,
-            "refill": 1,
-            "deny": {"h": ["http://h/private"]},
-            "budget": {"h": 4},
-        }
-    )
-    urls = [f"http://h/{i}" for i in range(5)] + ["http://h/private/x"]
-    first = shard.admit(0, "h", urls)
-    again = shard.admit(0, "h", urls)
-    assert first == again
-    adm, dfr, den = first
-    assert len(adm) == 3 and den == ["http://h/private/x", "http://h/4"]
-    # compact cache: counts + a 64-bit content fingerprint, no url
-    # strings retained
-    entry = shard._cache[("admit", 0, "h")]
-    assert entry[:3] == (6, 4, 3) and isinstance(entry[3], int)
-    # a replay with a different url list is a contract violation ...
-    import pytest as _pytest
-
-    with _pytest.raises(ValueError):
-        shard.admit(0, "h", urls[:2])
-    # ... and so is a SAME-LENGTH but different or reordered list
-    with _pytest.raises(ValueError):
-        shard.admit(0, "h", list(reversed(urls)))
-    # batched form goes through the same compact cache
-    statuses = shard.admit_many(0, ["h"], [urls])
-    assert statuses[0] == ["admit"] * 3 + ["defer", "deny", "deny"]
-
-
 def test_checkpoint_frontier_dir_relative_and_validated(tmp_path):
     """Bucketed checkpoints store frontier_dir relative to out_dir (the
     output tree may be remounted elsewhere on resume) and
@@ -673,34 +616,32 @@ def test_checkpoint_frontier_dir_relative_and_validated(tmp_path):
         ckpt,
         2,
         [{}],
-        [{}],
         frontier_dir=str(fdir),
         frontier_rows=7,
+        fetched=11,
         out_dir=str(out_dir),
     )
     with open(os.path.join(ckpt, "round=2", "manifest.json")) as fh:
         manifest = json.load(fh)
     assert manifest["frontier_dir"] == os.path.join("frontier", "round=3")
+    assert (manifest["keying"], manifest["num_shards"], manifest["fetched"]) == (
+        "host-md5", 1, 11,
+    )
+    # the round dir holds the manifest and the politeness buckets only
+    assert sorted(os.listdir(os.path.join(ckpt, "round=2"))) == [
+        "manifest.json", "politeness.json",
+    ]
 
     # resolves against a MOVED output tree
     moved = tmp_path / "moved"
     os.rename(out_dir, moved)
-    state = load_checkpoint(ckpt, out_dir=str(moved))
+    state = load_checkpoint(ckpt, 1, out_dir=str(moved))
     assert state["frontier_dir"] == str(moved / "frontier" / "round=3")
-    assert state["frontier_rows"] == 7
+    assert state["frontier_rows"] == 7 and state["fetched"] == 11
 
     # dangling reference (consumed frontier dir) fails loudly
     with _pytest.raises(FileNotFoundError):
-        load_checkpoint(ckpt, out_dir=str(tmp_path / "nowhere"))
-
-    # a manifest without a frontier_dir cannot be resumed: it fails
-    # loudly instead of starting from an empty frontier
-    bare = tmp_path / "bare" / "round=0"
-    bare.mkdir(parents=True)
-    with open(bare / "manifest.json", "w") as fh:
-        json.dump({"round": 0, "frontier_rows": 5}, fh)
-    with _pytest.raises(ValueError, match="no frontier_dir"):
-        load_checkpoint(str(tmp_path / "bare"), out_dir=str(moved))
+        load_checkpoint(ckpt, 1, out_dir=str(tmp_path / "nowhere"))
 
 
 def test_connected_components_nonconvergence_raises(ray_session):
@@ -777,6 +718,127 @@ def test_resume_after_completed_bucketed_crawl_is_noop(store_and_inputs, tmp_pat
     pd.testing.assert_frame_equal(_read_fetch_log(out), log1)
 
 
+RESUME_KW = dict(
+    max_depth=1,
+    round_budget=30,
+    capacity=4,
+    refill=2,
+    num_bloom_shards=2,
+    num_politeness_shards=2,
+    doc_store_partitions=8,
+)
+
+
+def test_fresh_crawl_clears_stale_checkpoint(store_and_inputs, tmp_path):
+    """A fresh crawl into the output and checkpoint dirs of an earlier,
+    longer crawl starts both over: its output holds only its own rounds,
+    and a later resume continues the fresh crawl (not the stale latest
+    round, which would stop it early) and ends with the uninterrupted
+    fetch log."""
+    from entity_context_crawler_ray.state.checkpoint import latest_round
+
+    store, ref, docs_local, idx, seeds = store_and_inputs
+    out, ckpt = str(tmp_path / "out"), str(tmp_path / "ckpt")
+    m_full = crawl(store, seeds, ref, out, CrawlConfig(max_rounds=40, **RESUME_KW), ckpt_dir=ckpt)
+    full_log = _read_fetch_log(out)
+    assert latest_round(ckpt) > 2
+    m_a = crawl(store, seeds, ref, out, CrawlConfig(max_rounds=2, **RESUME_KW), ckpt_dir=ckpt)
+    assert latest_round(ckpt) == 1
+    assert set(_read_fetch_log(out)["round"]) == {0, 1}
+    assert sorted(glob.glob(f"{out}/round=*")) == [f"{out}/round=0", f"{out}/round=1"]
+    m_b = crawl(
+        store, seeds, ref, out, CrawlConfig(max_rounds=40, **RESUME_KW),
+        ckpt_dir=ckpt, resume=True,
+    )
+    assert m_full["urls_fetched"] == m_a["urls_fetched"] + m_b["urls_fetched"]
+    pd.testing.assert_frame_equal(_read_fetch_log(out), full_log)
+
+
+def test_resume_refuses_damaged_fetch_log(store_and_inputs, tmp_path):
+    """The fetch log is the crawl's durable seen state: when the file of
+    a checkpointed round is missing, truncated or short, resume raises
+    instead of rebuilding an under-filled seen filter and fetching
+    seen URLs again."""
+    store, ref, docs_local, idx, seeds = store_and_inputs
+    out, ckpt = str(tmp_path / "out"), str(tmp_path / "ckpt")
+    crawl(store, seeds, ref, out, CrawlConfig(max_rounds=2, **RESUME_KW), ckpt_dir=ckpt)
+    path = os.path.join(out, "fetch_log", "round_0.parquet")
+    with open(path, "rb") as fh:
+        intact = fh.read()
+    short = pq.read_table(path)
+    assert short.num_rows > 1
+    short_path = str(tmp_path / "short.parquet")
+    pq.write_table(short.slice(1), short_path)
+    with open(short_path, "rb") as fh:
+        damaged = {"missing": None, "truncated": intact[: len(intact) // 2], "short": fh.read()}
+    resume = CrawlConfig(max_rounds=40, **RESUME_KW)
+    for how, data in damaged.items():
+        if data is None:
+            os.remove(path)
+        else:
+            with open(path, "wb") as fh:
+                fh.write(data)
+        with pytest.raises(ValueError, match="re-crawl without --resume"):
+            crawl(store, seeds, ref, out, resume, ckpt_dir=ckpt, resume=True)
+    with open(path, "wb") as fh:
+        fh.write(intact)
+    assert crawl(store, seeds, ref, out, resume, ckpt_dir=ckpt, resume=True)["urls_fetched"] > 0
+
+
+CLI_CRAWL = ["--partitions", "8", "--round-budget", "30", "--capacity", "4", "--refill", "2"]
+
+
+def _page_rows(out) -> int:
+    return sum(
+        pq.read_metadata(f).num_rows for f in glob.glob(f"{out}/round=*/*.parquet")
+    )
+
+
+def test_cli_crawl_sigkill_resume(store_and_inputs, tmp_path):
+    """CLI crash recovery: the crawl runs in its own process (and Ray
+    cluster), its process group is SIGKILLed once round 2's checkpoint
+    is written, and ``--resume`` then ends with the uninterrupted run's
+    fetch log and page rows, none duplicated."""
+    from entity_context_crawler_ray.__main__ import main
+
+    store = store_and_inputs[0]
+    ents = str(tmp_path / "entities.parquet")
+    pq.write_table(entity_catalog(SF), ents)
+    full, out, ckpt = (str(tmp_path / d) for d in ("full", "out", "ckpt"))
+    assert main(["crawl", store, ents, full, *CLI_CRAWL]) == 0
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (ROOT, env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "entity_context_crawler_ray", "crawl", store, ents, out,
+         *CLI_CRAWL, "--ckpt-dir", ckpt],
+        cwd=ROOT,
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+        start_new_session=True,
+    )
+    manifest = os.path.join(ckpt, "round=2", "manifest.json")
+    deadline = time.time() + 120
+    try:
+        while not os.path.exists(manifest):
+            assert proc.poll() is None, "the crawl exited before round 2's checkpoint"
+            assert time.time() < deadline, "no round 2 checkpoint within 120 s"
+            time.sleep(0.01)
+    finally:
+        # the process group holds the crawl and its Ray cluster
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+    full_log = _read_fetch_log(full)[["round", "rank", "url"]]
+    # killed mid-crawl: the run never finished
+    assert not os.path.exists(os.path.join(out, "_metrics.json"))
+    assert len(_read_fetch_log(out)) < len(full_log)
+
+    assert main(["crawl", store, ents, out, *CLI_CRAWL, "--ckpt-dir", ckpt, "--resume"]) == 0
+    pd.testing.assert_frame_equal(_read_fetch_log(out)[["round", "rank", "url"]], full_log)
+    assert _page_rows(out) == _page_rows(full) > 0
+
+
 # --- crawl state shards ---------------------------------------------------
 
 
@@ -817,7 +879,7 @@ def _reference_schedule_bucket(
 ):
     """The schedule body as it ran before the state shards: separate
     BloomShard and PolitenessShard objects, probe → admit_many →
-    split → local top-budget cut with a source-tagged refund."""
+    split → local top-budget cut with a refund."""
     import pyarrow.compute as pc
 
     from entity_context_crawler_ray.state.frontier import (
@@ -865,7 +927,7 @@ def _reference_schedule_bucket(
         per_host = {}
         for h in cut["host"].to_pylist():
             per_host[h] = per_host.get(h, 0) + 1
-        pol.refund_many(round_id, per_host, f"local:{bucket}")
+        pol.refund_many(per_host)
         defer_parts.append(cut)
     defer_parts.append(cand.take(pa.array(defer_i, pa.int64())))
     n_deferred = write_bucketed(
@@ -889,7 +951,7 @@ def test_state_shard_schedule_equals_separate_state(tmp_path):
     already = ["ha/p0", "hc/p5"]
 
     shard = CrawlStateShard(0, num_shards, bits, pol_cfg, round_budget, bonus)
-    shard.commit(-1, already, {})
+    shard.commit(already, {})
     bloom = BloomShard(bits)
     bloom.set_seen(already)
     pol = PolitenessShard(pol_cfg)
@@ -912,46 +974,78 @@ def test_state_shard_schedule_equals_separate_state(tmp_path):
     assert shard.politeness.snapshot() == pol.snapshot()
 
 
-def test_state_shard_snapshot_restore_roundtrip(tmp_path):
-    """A shard restored from its snapshot (through the checkpoint's
-    JSON + pickle encodings) probes, admits and schedules exactly like
-    the shard it was taken from."""
+def test_state_shard_rebuilt_from_fetch_log(tmp_path):
+    """A shard restored from its politeness snapshot (through the
+    checkpoint's JSON) and the fetch log has the live shard's bloom bits
+    and insert count, and schedules the next round identically.  In a
+    multi-shard crawl each shard inserts only the log rows whose host
+    it owns.  A checkpoint keyed another way is refused."""
     import json
-    import pickle
 
+    from entity_context_crawler_ray.state.checkpoint import (
+        load_checkpoint,
+        save_checkpoint,
+    )
     from entity_context_crawler_ray.state.frontier import from_ipc
+    from entity_context_crawler_ray.state.politeness import politeness_shard_of
     from entity_context_crawler_ray.state.shard import CrawlStateShard
 
     in_dir, pol_cfg, num_shards = _shard_bucket_fixture(tmp_path)
     a = CrawlStateShard(0, num_shards, 1 << 16, pol_cfg, 5, 10.0)
-    ipc, *_ = a.schedule(0, in_dir, str(tmp_path / "r0"))
-    fetched = from_ipc(ipc)["url"].to_pylist()
-    snap = a.commit(0, fetched[:3], {"ha": 1}, snapshot=True)
-    assert snap == a.snapshot()
+    log_dir = tmp_path / "fetch_log"
+    log_dir.mkdir()
+    # two rounds, each fetching three admitted rows: the live shard marks
+    # them seen, and the log records them
+    for r in range(2):
+        ipc, *_ = a.schedule(r, in_dir, str(tmp_path / f"r{r}"))
+        fetch = from_ipc(ipc).slice(0, 3)
+        snap = a.commit(fetch["url"].to_pylist(), {"ha": 1}, snapshot=True)
+        pq.write_table(fetch, log_dir / f"round_{r}.parquet")
+    assert snap == a.politeness.snapshot()
 
     b = CrawlStateShard(0, num_shards, 1 << 16, pol_cfg, 5, 10.0)
-    b.restore(
-        pickle.loads(pickle.dumps(snap["bloom"])),
-        json.loads(json.dumps(snap["politeness"])),
-    )
+    assert b.restore(json.loads(json.dumps(snap)), str(log_dir), 1) == 6
+    assert b.bloom.bits.tobytes() == a.bloom.bits.tobytes()
+    assert b.bloom.count == a.bloom.count == 6
     assert b.stats() == a.stats()
-    assert b.stats()["bloom_inserts"] == 3 and 0.0 < b.stats()["bloom_fpr_est"] < 1e-6
-    probe = fetched + ["ha/p9", "hz/none"]
-    assert b.bloom.probe(probe) == a.bloom.probe(probe)
     assert b.politeness.snapshot() == a.politeness.snapshot()
     # the next round schedules identically on both
-    ra = a.schedule(1, in_dir, str(tmp_path / "a1"))
-    rb = b.schedule(1, in_dir, str(tmp_path / "b1"))
+    ra = a.schedule(2, in_dir, str(tmp_path / "a2"))
+    rb = b.schedule(2, in_dir, str(tmp_path / "b2"))
     assert ra == rb
-    # state keyed another way is refused, not silently restored: bits
-    # keyed by url hash (no marker), and host-keyed state under the
-    # earlier blake2b hash (marker "host")
-    bits = {k: v for k, v in snap["bloom"].items() if k != "sharded_by"}
-    for old_bits in (bits, {**bits, "sharded_by": "host"}):
+
+    # two shards: each owns its hosts' rows, together every row once
+    log = pa.concat_tables([pq.read_table(log_dir / f"round_{r}.parquet") for r in range(2)])
+    owner = [politeness_shard_of(h, 2) for h in log["host"].to_pylist()]
+    urls = log["url"].to_pylist()
+    for s in range(2):
+        part = CrawlStateShard(s, 2, 1 << 16, pol_cfg, 5, 10.0)
+        mine = [u for u, o in zip(urls, owner) if o == s]
+        assert 0 < part.restore({"config": pol_cfg, "hosts": {}}, str(log_dir), 1) == len(mine)
+        want = BloomShard(1 << 16)
+        want.set_seen(mine)
+        assert part.bloom.bits.tobytes() == want.bits.tobytes()
+
+    # the manifest carries the keying: a checkpoint with none, with
+    # another keying (the earlier blake2b "host") or for another shard
+    # count is refused
+    ckpt = str(tmp_path / "ckpt")
+    save_checkpoint(
+        ckpt, 1, [snap], frontier_dir=str(tmp_path / "r1"), frontier_rows=1,
+        fetched=6, out_dir=str(tmp_path),
+    )
+    assert load_checkpoint(ckpt, 1, out_dir=str(tmp_path))["fetched"] == 6
+    with pytest.raises(ValueError, match="re-crawl"):
+        load_checkpoint(ckpt, 2, out_dir=str(tmp_path))
+    path = os.path.join(ckpt, "round=1", "manifest.json")
+    with open(path) as fh:
+        manifest = json.load(fh)
+    unkeyed = {k: v for k, v in manifest.items() if k != "keying"}
+    for old in (unkeyed, {**manifest, "keying": "host"}):
+        with open(path, "w") as fh:
+            json.dump(old, fh)
         with pytest.raises(ValueError, match="re-crawl"):
-            CrawlStateShard(0, num_shards, 1 << 16, pol_cfg, 5, 10.0).restore(
-                old_bits, snap["politeness"]
-            )
+            load_checkpoint(ckpt, 1, out_dir=str(tmp_path))
 
 
 def test_crawl_resume_equivalence_three_shards(store_and_inputs):
