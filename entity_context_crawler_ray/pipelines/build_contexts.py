@@ -13,12 +13,13 @@ Data pipeline:
    before anything shuffles (SURVEY.md §7.5(3)).
 2. **per-entity co-group**: the distinct (entity_id, mention) pairs
    are tagged into the windows schema (window IS NULL) and unioned
-   into the same groupby(entity_id).map_groups — the reference's
+   into one ``exchange.by_key`` on entity_id — the reference's
    entity ⋈ mentions join (cmd/build_contexts_db.py:215-218) runs as
    a co-group, with no driver-side collection that grows with the
-   corpus.  Each group then does: deterministic sample of ≤K windows,
-   per-entity PhraseMatcher from {label} ∪ mentions, crop (token or
-   sentence mode), strict-span pruning + '#' masking, rid lookup.
+   corpus.  One Arrow kernel per partition walks its entities: the
+   deterministic sample of ≤K windows, a per-entity PhraseMatcher
+   from {label} ∪ mentions, crop (token or sentence mode),
+   strict-span pruning + '#' masking, rid lookup.
 
 Determinism: the reference's sampling depends on global ``random``
 state threaded through a serially-shuffled entity loop
@@ -39,7 +40,6 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import ray
 import ray.data
@@ -53,6 +53,8 @@ from ..functions.text import (
     mask_context,
     sql_window,
 )
+from ..stages.exchange import by_key, run_starts, seg_ids
+from ..stages.relational import broadcast_semi_join
 
 CONTEXTS_SCHEMA = pa.schema(
     [
@@ -73,7 +75,8 @@ class WindowMatches:
 
     Stateless map_batches task: nested matches are exploded in Python
     (each row is heavy — full page text — so per-row work dominates),
-    and the output carries only narrow columns."""
+    and the output carries only narrow columns.  With a limit, only
+    the K smallest ranks per entity leave the batch."""
 
     def __init__(self, context_size: int, seed: int, limit_contexts: Optional[int]):
         self.size = context_size
@@ -116,120 +119,72 @@ class WindowMatches:
         )
         if self.limit is not None and t.num_rows:
             # partial top-K combiner: keep K smallest ranks per entity
-            df = t.to_pandas()
-            df = (
-                df.sort_values("rank", kind="mergesort")
-                .groupby("entity_id", sort=False)
-                .head(self.limit)
-            )
-            t = pa.Table.from_pandas(df, preserve_index=False)
+            t = t.sort_by([("entity_id", "ascending"), ("rank", "ascending")])
+            starts = run_starts(t["entity_id"])
+            pos = np.arange(t.num_rows) - starts[seg_ids(starts, t.num_rows)]
+            t = t.filter(pos < self.limit)
         return t
 
 
 def _pattern_rows(t: pa.Table) -> pa.Table:
     """Tag distinct (entity_id, mention) pairs as pattern rows in the
-    windows schema: ``window`` is NULL (the discriminator the group fn
-    splits on), ``rank`` stays a non-null uint64 so the union column
-    never decays to float64 in pandas (which would truncate real
-    64-bit ranks)."""
-    import pyarrow.compute as pc
-
+    windows schema: ``window`` is NULL, the discriminator the per-entity
+    kernel splits on."""
     n = t.num_rows
     return pa.table(
         {
-            "entity_id": pc.cast(t["entity_id"], pa.string()),
-            "mention": pc.cast(t["mention"], pa.string()),
+            "entity_id": t["entity_id"].cast(pa.string()),
+            "mention": t["mention"].cast(pa.string()),
             "page_title": pa.nulls(n, pa.string()),
             "window": pa.nulls(n, pa.string()),
-            "rank": pa.array(np.zeros(n, dtype=np.uint64)),
+            "rank": pa.nulls(n, pa.uint64()),
         }
     )
 
 
-def _make_group_fn(
-    lookup_ref,
-    crop_sentences: bool,
-    limit_contexts: Optional[int],
-):
-    def per_entity(group: pd.DataFrame) -> pd.DataFrame:
-        # cached per worker process: map_groups calls this once per
-        # entity group, and deserializing the whole dict per group
-        # dominates runtime for small groups
-        lookup = cached(
-            ("contexts-lookup", ref_id(lookup_ref)), lambda: ray.get(lookup_ref)
+def _entity_kernel(eid_ref, crop_sentences: bool, limit_contexts: Optional[int]):
+    def entity_contexts(t: pa.Table) -> pa.Table:
+        eid_info: Dict[str, tuple] = cached(
+            ("contexts-lookup", ref_id(eid_ref)), lambda: ray.get(eid_ref)
         )
-        eid_info: Dict[str, tuple] = lookup["eid_info"]
-        allowed = lookup["allowed"]
-
-        empty = pd.DataFrame(
-            {c: pd.Series(dtype=d) for c, d in (
-                ("entity", np.int64),
-                ("entity_label", object),
-                ("mention", object),
-                ("page_title", object),
-                ("context", object),
-                ("masked_context", object),
-            )}
+        # rank order within each entity: the deterministic sample of ≤K
+        # (reference shuffle + head, cmd/build_contexts_db.py:210-212)
+        t = t.sort_by([("entity_id", "ascending"), ("rank", "ascending")])
+        eids, mentions, titles, windows = (
+            t[c].to_pylist() for c in ("entity_id", "mention", "page_title", "window")
         )
-        if group.empty:
-            return empty
-        eid = group["entity_id"].iloc[0]
-        if eid not in eid_info or (allowed is not None and eid not in allowed):
-            return empty
-        rid, label = eid_info[eid]
-
-        # co-grouped pattern rows (window IS NULL) carry the entity's
-        # distinct mentions — the J5 join is a tagged union into this
-        # groupby, never a driver-side dict (SURVEY.md §2.4 J5)
-        pat_mask = group["window"].isna()
-        pattern_mentions = set(group.loc[pat_mask, "mention"])
-        group = group.loc[~pat_mask]
-        if group.empty:
-            return empty
-
-        # deterministic sample of ≤K (reference shuffle + head,
-        # cmd/build_contexts_db.py:210-212)
-        group = group.sort_values("rank", kind="mergesort")
-        if limit_contexts is not None:
-            group = group.head(limit_contexts)
-
-        # per-entity matcher: {label} ∪ distinct mentions
-        # (reference cmd/build_contexts_db.py:215-218)
-        patterns = {label} | pattern_mentions
-        matcher = PhraseMatcher(patterns)
-
+        bounds = run_starts(t["entity_id"]).tolist() + [t.num_rows]
         rows = []
-        for window, page_title, mention in zip(
-            group["window"], group["page_title"], group["mention"]
-        ):
-            # crop (reference :239-300); empty crops drop
-            if crop_sentences:
-                cropped = crop_sentences_mode(window, matcher)
-            else:
-                cropped = crop_tokens(window)
-            if not cropped:
+        for s, e in zip(bounds, bounds[1:]):
+            picked = [i for i in range(s, e) if windows[i] is not None][:limit_contexts]
+            if not picked:
                 continue
-            # mask (reference :303-354); spanless contexts drop
-            masked = mask_context(cropped, matcher)
-            if masked is None:
-                continue
-            rows.append((rid, label, mention, page_title, cropped, masked))
-
+            rid, label = eid_info[eids[s]]
+            # per-entity matcher: {label} ∪ the co-grouped pattern rows'
+            # mentions (reference cmd/build_contexts_db.py:215-218)
+            matcher = PhraseMatcher(
+                {label} | {mentions[i] for i in range(s, e) if windows[i] is None}
+            )
+            for i in picked:
+                # crop (reference :239-300); empty crops drop
+                if crop_sentences:
+                    cropped = crop_sentences_mode(windows[i], matcher)
+                else:
+                    cropped = crop_tokens(windows[i])
+                if not cropped:
+                    continue
+                # mask (reference :303-354); spanless contexts drop
+                masked = mask_context(cropped, matcher)
+                if masked is not None:
+                    rows.append((rid, label, mentions[i], titles[i], cropped, masked))
         if not rows:
-            return empty
-        return pd.DataFrame(
-            rows,
-            columns=[
-                "entity",
-                "entity_label",
-                "mention",
-                "page_title",
-                "context",
-                "masked_context",
-            ],
+            return CONTEXTS_SCHEMA.empty_table()
+        return pa.Table.from_arrays(
+            [pa.array(c, f.type) for c, f in zip(zip(*rows), CONTEXTS_SCHEMA)],
+            schema=CONTEXTS_SCHEMA,
         )
 
-    return per_entity
+    return entity_contexts
 
 
 def reference_shuffle_selection(
@@ -283,7 +238,7 @@ def build_contexts(
     ``ray.data.Dataset`` (e.g. ``mentions_view(combined)``), a
     ``pa.Table``, or a legacy ``{entity_id: [mention, ...]}`` dict.
     The pairs are co-grouped with the context windows on
-    ``entity_id`` (tagged union into the same groupby) — the per-
+    ``entity_id`` (tagged union into the same keyed exchange) — the per-
     entity pattern sets are never materialized on the driver, so no
     state here grows with the corpus (SURVEY.md §2.4 J5).
 
@@ -302,6 +257,10 @@ def build_contexts(
       matches-db insertion order, which its own process pool makes
       nondeterministic (cmd/build_matches_db.py:162-163), so there is
       no reference bit-stream to match."""
+    if order_mode not in ("stable-hash", "reference-shuffle"):
+        raise ValueError(
+            f"order_mode must be 'stable-hash' or 'reference-shuffle', got {order_mode!r}"
+        )
     # eligible entities: in id_map (semi-join drop, reference :193-194)
     # with a non-empty page_title (empty-URL skip, reference :201-204)
     rid_of = dict(
@@ -335,13 +294,7 @@ def build_contexts(
             )
             allowed = set(ordered[:limit_entities])
 
-    lookup_ref = ray.put({"eid_info": eid_info, "allowed": allowed})
-
     eligible = set(eid_info) if allowed is None else allowed
-
-    def prefilter(t: pa.Table) -> pa.Table:
-        mask = pa.array([e in eligible for e in t["entity_id"].to_pylist()])
-        return t.filter(mask)
 
     # normalize the mentions side to a Dataset of (entity_id, mention)
     if isinstance(mentions, dict):
@@ -360,22 +313,19 @@ def build_contexts(
         mentions = ray.data.from_arrow(mentions)
     pattern_ds = mentions.map_batches(
         _pattern_rows, batch_format="pyarrow", zero_copy_batch=True
-    ).map_batches(prefilter, batch_format="pyarrow", zero_copy_batch=True)
-
+    )
     windows = combined.map_batches(
         WindowMatches(context_size, seed, limit_contexts),
         batch_format="pyarrow",
         zero_copy_batch=True,
-    ).map_batches(prefilter, batch_format="pyarrow", zero_copy_batch=True)
-
-    # still map_groups: moving Stage 2 onto exchange.by_key is ROADMAP direction 5
-    return (
-        windows.union(pattern_ds)
-        .groupby("entity_id")
-        .map_groups(
-            _make_group_fn(lookup_ref, crop_sentences, limit_contexts),
-            batch_format="pandas",
-        )
+    )
+    combined_rows = broadcast_semi_join(windows, eligible, "entity_id").union(
+        broadcast_semi_join(pattern_ds, eligible, "entity_id")
+    )
+    return by_key(
+        combined_rows,
+        "entity_id",
+        _entity_kernel(ray.put(eid_info), crop_sentences, limit_contexts),
     )
 
 

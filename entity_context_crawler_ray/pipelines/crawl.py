@@ -528,222 +528,226 @@ def crawl(
         for s in range(num_shards)
     ]
 
-    start_round = 0
-    # fetch-log rows over every round so far: the checkpoint records it,
-    # and a resume checks the log it rebuilds the seen filters from
-    fetched = 0
-    log_dir = os.path.join(out_dir, "fetch_log")
-    # The frontier lives on storage only: frontier_dir is the bucketed
-    # parquet dir the next round schedules from, and frontier_rows its
-    # candidate-row count (a pre-dedup upper bound; 0 ends the crawl).
-    resuming = resume and ckpt_dir is not None and latest_round(ckpt_dir) is not None
-    if resuming:
-        state = load_checkpoint(ckpt_dir, num_shards, out_dir=out_dir)
-        start_round = state["round"] + 1
-        frontier_dir = state["frontier_dir"]
-        frontier_rows = state["frontier_rows"]
-        fetched = state["fetched"]
-        ready = [
-            h.restore.remote(p, log_dir, state["round"])
-            for h, p in zip(shards, state["politeness"])
-        ]
-    else:
-        # a fresh crawl owns its output and checkpoint rounds: an earlier
-        # crawl's pages, frontier and fetch log left there would mix into
-        # this crawl's output, and a later resume would pick up its
-        # checkpoint rounds
-        shutil.rmtree(os.path.join(out_dir, "frontier"), ignore_errors=True)
-        shutil.rmtree(log_dir, ignore_errors=True)
-        stale = _glob.glob(os.path.join(out_dir, "round=*"))
-        if ckpt_dir is not None:
-            stale += _glob.glob(os.path.join(ckpt_dir, "round=*"))
-        for d in stale:
-            shutil.rmtree(d)
-        urls = seeds["url"].to_pylist()
-        seed_tbl = pa.table(
-            {
-                "url": pa.array(urls, pa.string()),
-                "host": pa.array([host_of(u) for u in urls], pa.string()),
-                "priority": seeds["priority"],
-                "depth": pa.array([0] * len(urls), pa.int32()),
-            }
-        ).cast(FRONTIER_SCHEMA)
-        frontier_dir = frontier_round_dir(out_dir, 0)
-        frontier_rows = write_bucketed(
-            as_candidates(seed_tbl), frontier_dir, "seed", num_shards
-        )
-        ready = [h.stats.remote() for h in shards]
-
-    # optional plasma preload: one copy of each partition in the
-    # object store, mapped zero-copy by every fetch worker (callers may
-    # pass prebuilt ``store_refs`` to reuse a warm store across crawls)
-    if store_refs is None and config.preload_store:
-        store_refs = ray.put(preload_doc_store(store_dir, config.doc_store_partitions))
-    source = (store_dir, config.doc_store_partitions, entities_ref, store_refs)
-
-    # the first call on a fresh actor waits for its process to start;
-    # the seed write and preload above ran meanwhile
-    rebuilt = ray.get(ready)
-    if resuming and sum(rebuilt) != fetched:
-        raise ValueError(
-            f"the fetch log under {log_dir} holds {sum(rebuilt)} rows through "
-            f"round {start_round - 1}, the checkpoint recorded {fetched}; "
-            "re-crawl without --resume"
-        )
-    metrics: Dict = {
-        "rounds": [],
-        "urls_fetched": 0,
-        "pages_extracted": 0,
-        "setup_s": round(time.time() - t_setup, 3),
-    }
-    checkpoint_s = 0.0
-    t_start = time.time()
-
-    for round_id in range(start_round, config.max_rounds):
-        if frontier_rows == 0:
-            break
-        t_round = time.time()
-        phase_t: Dict[str, float] = {}
-
-        def _mark(name: str, since=[time.time()]):
-            now = time.time()
-            phase_t[name] = round(now - since[0], 3)
-            since[0] = now
-
-        next_dir = frontier_round_dir(out_dir, round_id + 1)
-        # next_dir receives the schedule deferrals and the fetch-task
-        # link partials — clear any stale files from an interrupted
-        # earlier attempt at this round
-        shutil.rmtree(next_dir, ignore_errors=True)
-
-        # scheduling: combine -> probe -> admission -> sort + budget
-        # split; then one commit per shard marks the fetch set seen and
-        # refunds the global cut (and returns the shard's politeness
-        # snapshot when checkpointing) while the round fetches
-        (
-            fetch_tbl,
-            n_deferred,
-            n_denied,
-            n_admitted,
-            n_presplit,
-            refunds,
-        ) = _schedule_round(frontier_dir, next_dir, shards, config, round_id)
-        commits = [
-            h.commit.remote(urls, refunds.get(s, {}), ckpt_dir is not None)
-            for s, (h, urls) in enumerate(zip(shards, _urls_by_shard(fetch_tbl, num_shards)))
-        ]
-        _mark("schedule")
-
-        # fetch log: the crawl-ordering parity artifact, and the durable
-        # seen state a resume rebuilds the filters from — temp + atomic
-        # rename, so a kill never leaves a truncated round file
-        os.makedirs(log_dir, exist_ok=True)
-        log_tbl = fetch_tbl.append_column(
-            "rank", pa.array(range(fetch_tbl.num_rows), pa.int64())
-        ).append_column(
-            "round", pa.array([round_id] * fetch_tbl.num_rows, pa.int32())
-        )
-        log_path = os.path.join(log_dir, f"round_{round_id}.parquet")
-        pq.write_table(log_tbl, f"{log_path}.tmp")
-        os.replace(f"{log_path}.tmp", log_path)
-        fetched += fetch_tbl.num_rows
-        _mark("log")
-
-        n_links_rows = 0
-        n_fetched = 0
-        if fetch_tbl.num_rows:
-            round_dir = os.path.join(out_dir, f"round={round_id}")
-            os.makedirs(round_dir, exist_ok=True)
-            urls = fetch_tbl["url"].to_pylist()
-            depths = fetch_tbl["depth"].to_pylist()
-            step = config.fetch_batch_size
-            fused = ray.get(
-                [
-                    _fetch_extract_task.remote(
-                        urls[i : i + step],
-                        depths[i : i + step],
-                        round_id,
-                        source,
-                        round_dir,
-                        next_dir,
-                        config.max_depth,
-                        num_shards,
-                    )
-                    for i in range(0, len(urls), step)
-                ]
+    # the state actors die with the crawl, also when a resume is refused
+    # or a round raises
+    try:
+        start_round = 0
+        # fetch-log rows over every round so far: the checkpoint records it,
+        # and a resume checks the log it rebuilds the seen filters from
+        fetched = 0
+        log_dir = os.path.join(out_dir, "fetch_log")
+        # The frontier lives on storage only: frontier_dir is the bucketed
+        # parquet dir the next round schedules from, and frontier_rows its
+        # candidate-row count (a pre-dedup upper bound; 0 ends the crawl).
+        resuming = resume and ckpt_dir is not None and latest_round(ckpt_dir) is not None
+        if resuming:
+            state = load_checkpoint(ckpt_dir, num_shards, out_dir=out_dir)
+            start_round = state["round"] + 1
+            frontier_dir = state["frontier_dir"]
+            frontier_rows = state["frontier_rows"]
+            fetched = state["fetched"]
+            ready = [
+                h.restore.remote(p, log_dir, state["round"])
+                for h, p in zip(shards, state["politeness"])
+            ]
+        else:
+            # a fresh crawl owns its output and checkpoint rounds: an earlier
+            # crawl's pages, frontier and fetch log left there would mix into
+            # this crawl's output, and a later resume would pick up its
+            # checkpoint rounds
+            shutil.rmtree(os.path.join(out_dir, "frontier"), ignore_errors=True)
+            shutil.rmtree(log_dir, ignore_errors=True)
+            stale = _glob.glob(os.path.join(out_dir, "round=*"))
+            if ckpt_dir is not None:
+                stale += _glob.glob(os.path.join(ckpt_dir, "round=*"))
+            for d in stale:
+                shutil.rmtree(d)
+            urls = seeds["url"].to_pylist()
+            seed_tbl = pa.table(
+                {
+                    "url": pa.array(urls, pa.string()),
+                    "host": pa.array([host_of(u) for u in urls], pa.string()),
+                    "priority": seeds["priority"],
+                    "depth": pa.array([0] * len(urls), pa.int32()),
+                }
+            ).cast(FRONTIER_SCHEMA)
+            frontier_dir = frontier_round_dir(out_dir, 0)
+            frontier_rows = write_bucketed(
+                as_candidates(seed_tbl), frontier_dir, "seed", num_shards
             )
-            _mark("fetch_extract")
+            ready = [h.stats.remote() for h in shards]
 
-            n_fetched = sum(r[0] for r in fused)
-            n_links_rows = sum(r[1] for r in fused)
-            # per-partition lineage manifest: every page file this
-            # round, with its row count (north_rule "per-partition
-            # lineage"); '_'-prefixed so parquet dataset scans skip it
-            with open(os.path.join(round_dir, "_lineage.json"), "w") as fh:
-                json.dump(
-                    {
-                        "round": round_id,
-                        "files": [
-                            {"file": f"{f}.parquet", "rows": int(r)}
-                            for _, _, f, r in sorted(fused, key=lambda r: r[2])
-                        ],
-                    },
-                    fh,
+        # optional plasma preload: one copy of each partition in the
+        # object store, mapped zero-copy by every fetch worker (callers may
+        # pass prebuilt ``store_refs`` to reuse a warm store across crawls)
+        if store_refs is None and config.preload_store:
+            store_refs = ray.put(preload_doc_store(store_dir, config.doc_store_partitions))
+        source = (store_dir, config.doc_store_partitions, entities_ref, store_refs)
+
+        # the first call on a fresh actor waits for its process to start;
+        # the seed write and preload above ran meanwhile
+        rebuilt = ray.get(ready)
+        if resuming and sum(rebuilt) != fetched:
+            raise ValueError(
+                f"the fetch log under {log_dir} holds {sum(rebuilt)} rows through "
+                f"round {start_round - 1}, the checkpoint recorded {fetched}; "
+                "re-crawl without --resume"
+            )
+        metrics: Dict = {
+            "rounds": [],
+            "urls_fetched": 0,
+            "pages_extracted": 0,
+            "setup_s": round(time.time() - t_setup, 3),
+        }
+        checkpoint_s = 0.0
+        t_start = time.time()
+
+        for round_id in range(start_round, config.max_rounds):
+            if frontier_rows == 0:
+                break
+            t_round = time.time()
+            phase_t: Dict[str, float] = {}
+
+            def _mark(name: str, since=[time.time()]):
+                now = time.time()
+                phase_t[name] = round(now - since[0], 3)
+                since[0] = now
+
+            next_dir = frontier_round_dir(out_dir, round_id + 1)
+            # next_dir receives the schedule deferrals and the fetch-task
+            # link partials — clear any stale files from an interrupted
+            # earlier attempt at this round
+            shutil.rmtree(next_dir, ignore_errors=True)
+
+            # scheduling: combine -> probe -> admission -> sort + budget
+            # split; then one commit per shard marks the fetch set seen and
+            # refunds the global cut (and returns the shard's politeness
+            # snapshot when checkpointing) while the round fetches
+            (
+                fetch_tbl,
+                n_deferred,
+                n_denied,
+                n_admitted,
+                n_presplit,
+                refunds,
+            ) = _schedule_round(frontier_dir, next_dir, shards, config, round_id)
+            commits = [
+                h.commit.remote(urls, refunds.get(s, {}), ckpt_dir is not None)
+                for s, (h, urls) in enumerate(zip(shards, _urls_by_shard(fetch_tbl, num_shards)))
+            ]
+            _mark("schedule")
+
+            # fetch log: the crawl-ordering parity artifact, and the durable
+            # seen state a resume rebuilds the filters from — temp + atomic
+            # rename, so a kill never leaves a truncated round file
+            os.makedirs(log_dir, exist_ok=True)
+            log_tbl = fetch_tbl.append_column(
+                "rank", pa.array(range(fetch_tbl.num_rows), pa.int64())
+            ).append_column(
+                "round", pa.array([round_id] * fetch_tbl.num_rows, pa.int32())
+            )
+            log_path = os.path.join(log_dir, f"round_{round_id}.parquet")
+            pq.write_table(log_tbl, f"{log_path}.tmp")
+            os.replace(f"{log_path}.tmp", log_path)
+            fetched += fetch_tbl.num_rows
+            _mark("log")
+
+            n_links_rows = 0
+            n_fetched = 0
+            if fetch_tbl.num_rows:
+                round_dir = os.path.join(out_dir, f"round={round_id}")
+                os.makedirs(round_dir, exist_ok=True)
+                urls = fetch_tbl["url"].to_pylist()
+                depths = fetch_tbl["depth"].to_pylist()
+                step = config.fetch_batch_size
+                fused = ray.get(
+                    [
+                        _fetch_extract_task.remote(
+                            urls[i : i + step],
+                            depths[i : i + step],
+                            round_id,
+                            source,
+                            round_dir,
+                            next_dir,
+                            config.max_depth,
+                            num_shards,
+                        )
+                        for i in range(0, len(urls), step)
+                    ]
                 )
-            _mark("links")
-        snaps = ray.get(commits)
-        _mark("commit")
+                _mark("fetch_extract")
 
-        # next frontier = deferred (politeness + over-budget) + new links
-        frontier_candidates = frontier_rows
-        consumed_dir = frontier_dir
-        frontier_dir = next_dir
-        frontier_rows = n_deferred + n_links_rows
+                n_fetched = sum(r[0] for r in fused)
+                n_links_rows = sum(r[1] for r in fused)
+                # per-partition lineage manifest: every page file this
+                # round, with its row count (north_rule "per-partition
+                # lineage"); '_'-prefixed so parquet dataset scans skip it
+                with open(os.path.join(round_dir, "_lineage.json"), "w") as fh:
+                    json.dump(
+                        {
+                            "round": round_id,
+                            "files": [
+                                {"file": f"{f}.parquet", "rows": int(r)}
+                                for _, _, f, r in sorted(fused, key=lambda r: r[2])
+                            ],
+                        },
+                        fh,
+                    )
+                _mark("links")
+            snaps = ray.get(commits)
+            _mark("commit")
 
-        metrics["urls_fetched"] += fetch_tbl.num_rows
-        metrics["pages_extracted"] += n_fetched
-        metrics["rounds"].append(
-            {
-                "round": round_id,
-                "candidates": frontier_candidates,
-                "admitted": n_admitted,
-                "fetched": fetch_tbl.num_rows,
-                "extracted": n_fetched,
-                "fetch_misses": fetch_tbl.num_rows - n_fetched,
-                "robots_denied": n_denied,
-                "deferred": n_deferred,
-                "new_frontier": frontier_rows,
-                "presplit_buckets": n_presplit,
-                "sec": round(time.time() - t_round, 3),
-                "phases": phase_t,
-            }
-        )
+            # next frontier = deferred (politeness + over-budget) + new links
+            frontier_candidates = frontier_rows
+            consumed_dir = frontier_dir
+            frontier_dir = next_dir
+            frontier_rows = n_deferred + n_links_rows
 
-        if ckpt_dir is not None:
-            t_ckpt = time.time()
-            save_checkpoint(
-                ckpt_dir,
-                round_id,
-                snaps,
-                frontier_dir=frontier_dir,
-                frontier_rows=frontier_rows,
-                fetched=fetched,
-                out_dir=out_dir,
+            metrics["urls_fetched"] += fetch_tbl.num_rows
+            metrics["pages_extracted"] += n_fetched
+            metrics["rounds"].append(
+                {
+                    "round": round_id,
+                    "candidates": frontier_candidates,
+                    "admitted": n_admitted,
+                    "fetched": fetch_tbl.num_rows,
+                    "extracted": n_fetched,
+                    "fetch_misses": fetch_tbl.num_rows - n_fetched,
+                    "robots_denied": n_denied,
+                    "deferred": n_deferred,
+                    "new_frontier": frontier_rows,
+                    "presplit_buckets": n_presplit,
+                    "sec": round(time.time() - t_round, 3),
+                    "phases": phase_t,
+                }
             )
-            checkpoint_s += time.time() - t_ckpt
-        # the round consumed its input frontier dir; only the next round
-        # dir (referenced by the checkpoint just written) is still live
-        shutil.rmtree(consumed_dir, ignore_errors=True)
 
-    metrics["wall_sec"] = round(time.time() - t_start, 3)
-    metrics["checkpoint_s"] = round(checkpoint_s, 3)
-    metrics["urls_per_sec"] = round(
-        metrics["urls_fetched"] / max(metrics["wall_sec"], 1e-9), 2
-    )
-    t_teardown = time.time()
-    metrics["state_shards"] = ray.get([h.stats.remote() for h in shards])
-    for h in shards:
-        ray.kill(h)
+            if ckpt_dir is not None:
+                t_ckpt = time.time()
+                save_checkpoint(
+                    ckpt_dir,
+                    round_id,
+                    snaps,
+                    frontier_dir=frontier_dir,
+                    frontier_rows=frontier_rows,
+                    fetched=fetched,
+                    out_dir=out_dir,
+                )
+                checkpoint_s += time.time() - t_ckpt
+            # the round consumed its input frontier dir; only the next round
+            # dir (referenced by the checkpoint just written) is still live
+            shutil.rmtree(consumed_dir, ignore_errors=True)
+
+        metrics["wall_sec"] = round(time.time() - t_start, 3)
+        metrics["checkpoint_s"] = round(checkpoint_s, 3)
+        metrics["urls_per_sec"] = round(
+            metrics["urls_fetched"] / max(metrics["wall_sec"], 1e-9), 2
+        )
+        t_teardown = time.time()
+        metrics["state_shards"] = ray.get([h.stats.remote() for h in shards])
+    finally:
+        for h in shards:
+            ray.kill(h)
     metrics["teardown_s"] = round(time.time() - t_teardown, 3)
     # persist the run metrics beside the output (atomic rename): the
     # fetch/extract counters travel with the crawl artifact, not just

@@ -16,7 +16,6 @@ import re
 from typing import Dict, List
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
@@ -387,14 +386,12 @@ def embedding_neardup_lsh(
     seed: int = 42,
 ) -> ray.data.Dataset:
     """Scale-path near-dup: sign-LSH bucket each vector (map_batches),
-    co-locate buckets with one groupby, compute exact pairwise cosine
+    co-locate buckets with one ``by_key``, compute exact pairwise cosine
     WITHIN each bucket.  Approximate: a pair split across buckets is
     missed — for cosine ≥ t the collision probability per plane is
     1 − arccos(t)/π (≈0.9 at t=0.95), so recall ≈ 0.9^n_bits per
     band; raise recall with fewer bits or multiple seeds (union of
     passes), trade against bucket size."""
-    import numpy as np
-
     from .similarity import SignLSH, _normalize
 
     state = {}
@@ -412,39 +409,32 @@ def embedding_neardup_lsh(
             }
         )
 
-    def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) < 2:
-            return pd.DataFrame(
-                {"vec_id_a": pd.Series(dtype="int64"),
-                 "vec_id_b": pd.Series(dtype="int64"),
-                 "cosine": pd.Series(dtype="float64")}
-            )
-        ids = g["vec_id"].to_numpy()
-        mat = np.stack(g["embedding"].to_numpy()).astype(np.float64)
-        mat /= np.maximum(np.linalg.norm(mat, axis=1, keepdims=True), 1e-12)
-        sims = mat @ mat.T
-        out = []
-        n = len(ids)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if sims[i, j] >= threshold:
-                    a, b = int(ids[i]), int(ids[j])
-                    if a > b:
-                        a, b = b, a
-                    out.append((a, b, float(sims[i, j])))
-        return pd.DataFrame(out, columns=["vec_id_a", "vec_id_b", "cosine"]) if out else pd.DataFrame(
-            {"vec_id_a": pd.Series(dtype="int64"),
-             "vec_id_b": pd.Series(dtype="int64"),
-             "cosine": pd.Series(dtype="float64")}
+    def bucket_pairs(t: pa.Table) -> pa.Table:
+        ids = t["vec_id"].to_numpy()
+        mat = _normalize(np.stack(t["embedding"].to_pylist()).astype(np.float64))
+        bounds = run_starts(t["bucket"]).tolist() + [t.num_rows]
+        i_all, j_all, cos = [], [], []
+        for s, e in zip(bounds, bounds[1:]):
+            sims = mat[s:e] @ mat[s:e].T
+            i, j = np.nonzero(np.triu(sims >= threshold, 1))
+            i_all.append(i + s)
+            j_all.append(j + s)
+            cos.append(sims[i, j])
+        i, j = np.concatenate(i_all), np.concatenate(j_all)
+        return pa.table(
+            {
+                "vec_id_a": pa.array(np.minimum(ids[i], ids[j]), pa.int64()),
+                "vec_id_b": pa.array(np.maximum(ids[i], ids[j]), pa.int64()),
+                "cosine": pa.array(np.concatenate(cos), pa.float64()),
+            }
         )
 
-    # map_groups, not by_key: the per-bucket quadratic cosine block
-    # costs far more than the per-group call
-    return (
-        embeddings.select_columns(["vec_id", "embedding"])
-        .map_batches(assign, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(bucket_pairs, batch_format="pandas")
+    return by_key(
+        embeddings.select_columns(["vec_id", "embedding"]).map_batches(
+            assign, batch_format="pyarrow"
+        ),
+        "bucket",
+        bucket_pairs,
     )
 
 
@@ -631,7 +621,7 @@ def semantic_dedup(
 
     Scale shape: centroid training exchanges only K×D partial sums
     (stages/similarity.py kmeans_centroids); the single corpus-wide
-    shuffle is the cluster groupby; within-cluster work is O(|c|²),
+    shuffle is the cluster-keyed ``by_key``; within-cluster work is O(|c|²),
     so ``k`` must scale with the corpus (clusters of ~1k vectors).
     Groups larger than ``max_cluster_rows`` raise rather than silently
     quadratically blow up."""
@@ -641,35 +631,29 @@ def semantic_dedup(
     cent = kmeans_centroids(embeddings, k, iterations, scale)
     assigned = assign_clusters(embeddings, cent, scale, keep_vec=True)
 
-    def cluster_dups(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) > max_cluster_rows:
-            raise ValueError(
-                f"semantic_dedup cluster has {len(g)} rows > "
-                f"max_cluster_rows={max_cluster_rows}; raise k so "
-                f"clusters stay small enough for pairwise cosine"
-            )
-        ids = g["vec_id"].to_numpy()
-        order = np.argsort(ids)
-        ids = ids[order]
-        mat = _normalize(
-            np.stack(g["embedding"].to_numpy()[order]).astype(np.float64)
-        )
-        sims = mat @ mat.T
-        # dup[j] = exists i<j (id order) with cosine >= threshold
-        dup = (np.triu(sims >= threshold, 1)).any(axis=0)
-        return pd.DataFrame(
+    def cluster_dups(t: pa.Table) -> pa.Table:
+        t = t.sort_by([("cluster", "ascending"), ("vec_id", "ascending")])
+        mat = _normalize(np.stack(t["embedding"].to_pylist()).astype(np.float64))
+        bounds = run_starts(t["cluster"]).tolist() + [t.num_rows]
+        dup = np.zeros(t.num_rows, dtype=np.int64)
+        for s, e in zip(bounds, bounds[1:]):
+            if e - s > max_cluster_rows:
+                raise ValueError(
+                    f"semantic_dedup cluster has {e - s} rows > "
+                    f"max_cluster_rows={max_cluster_rows}; raise k so "
+                    f"clusters stay small enough for pairwise cosine"
+                )
+            # dup[j] = exists i<j (id order) with cosine >= threshold
+            dup[s:e] = np.triu(mat[s:e] @ mat[s:e].T >= threshold, 1).any(axis=0)
+        return pa.table(
             {
-                "vec_id": ids.astype(np.int64),
-                "cluster": np.int64(g["cluster"].iloc[0]),
-                "dup": dup.astype(np.int64),
+                "vec_id": t["vec_id"].cast(pa.int64()),
+                "cluster": t["cluster"].cast(pa.int64()),
+                "dup": dup,
             }
         )
 
-    # map_groups, not by_key: the per-cluster quadratic cosine block
-    # costs far more than the per-group call
-    return assigned.groupby("cluster").map_groups(
-        cluster_dups, batch_format="pandas"
-    )
+    return by_key(assigned, "cluster", cluster_dups)
 
 
 def _levenshtein(a: str, b: str) -> int:
@@ -710,7 +694,7 @@ def fuzzy_pairs_lev1(
 
     Scale shape: the exchange moves (variant, string) rows — ~len+1
     per distinct string — through ONE variant-keyed co-location
-    (groupby), within-group ordered pairs, a pair-keyed dedup, then a
+    (``by_key``), within-group ordered pairs, a pair-keyed dedup, then a
     vectorized-DP verify on the surviving candidates only.  No O(N²)
     anywhere; the quadratic risk (a hot variant) is bounded by how
     many strings can share one deletion — data-dependent, and the
@@ -735,37 +719,33 @@ def fuzzy_pairs_lev1(
             }
         )
 
-    def group_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        ss = sorted(set(g["s"]))
-        if len(ss) > max_variant_group:
-            raise ValueError(
-                f"fuzzy_pairs_lev1: {len(ss)} strings share one "
-                f"deletion variant (> max_variant_group="
-                f"{max_variant_group}); the pair fan-out would be "
-                f"quadratic — pre-block by a coarser key first"
-            )
-        if len(ss) < 2:
-            return pd.DataFrame(
-                {"name_a": pd.Series(dtype="object"),
-                 "name_b": pd.Series(dtype="object")}
-            )
-        rows = [
-            (ss[i], ss[j])
-            for i in range(len(ss))
-            for j in range(i + 1, len(ss))
-        ]
-        return pd.DataFrame(rows, columns=["name_a", "name_b"])
+    def group_pairs(t: pa.Table) -> pa.Table:
+        # one row per distinct (var, s), then every s-pair of a var
+        t = t.sort_by([("var", "ascending"), ("s", "ascending")])
+        t = t.take(run_starts(t["var"], t["s"]))
+        ss = t["s"].to_pylist()
+        bounds = run_starts(t["var"]).tolist() + [t.num_rows]
+        name_a, name_b = [], []
+        for s, e in zip(bounds, bounds[1:]):
+            if e - s > max_variant_group:
+                raise ValueError(
+                    f"fuzzy_pairs_lev1: {e - s} strings share one "
+                    f"deletion variant (> max_variant_group="
+                    f"{max_variant_group}); the pair fan-out would be "
+                    f"quadratic — pre-block by a coarser key first"
+                )
+            for i in range(s, e):
+                name_a += [ss[i]] * (e - i - 1)
+                name_b += ss[i + 1 : e]
+        return pa.table(
+            {"name_a": pa.array(name_a, pa.string()), "name_b": pa.array(name_b, pa.string())}
+        )
 
-    # map_groups, not by_key: the per-variant quadratic pair fan-out
-    # costs far more than the per-group call
-    cand = (
-        strings.select_columns([col])
-        .map_batches(variants, batch_format="pyarrow")
-        .groupby("var")
-        .map_groups(group_pairs, batch_format="pandas")
-        .groupby(["name_a", "name_b"])
-        .aggregate(Count(alias_name="n_vars"))
-    )
+    cand = by_key(
+        strings.select_columns([col]).map_batches(variants, batch_format="pyarrow"),
+        "var",
+        group_pairs,
+    ).groupby(["name_a", "name_b"]).aggregate(Count(alias_name="n_vars"))
 
     def verify(batch: pa.Table) -> pa.Table:
         a_list = batch["name_a"].to_pylist()
@@ -887,10 +867,9 @@ def span_dup_offsets(
         documents, n=n, id_col=id_col, text_col=text_col, hash_bits=hash_bits
     )
     key_cols = ["key_hi", "key_lo"] if hash_bits == 128 else ["key_hi"]
-    # by_key on the gram key + ONE vectorized lexsort per partition —
-    # NOT groupby().map_groups(), whose per-group Python kernel call
-    # costs ~45 s on 270k tiny gram groups at sf0.1 where this shape
-    # takes ~2 s
+    # by_key on the gram key + ONE vectorized lexsort per partition:
+    # a per-group Python kernel call cost ~45 s on 270k tiny gram
+    # groups at sf0.1 where this shape takes ~2 s
 
     def dups_part(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:

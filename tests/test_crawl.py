@@ -754,11 +754,22 @@ def test_fresh_crawl_clears_stale_checkpoint(store_and_inputs, tmp_path):
     pd.testing.assert_frame_equal(_read_fetch_log(out), full_log)
 
 
+def _alive_state_shards() -> int:
+    """CrawlStateShard actors still alive, read from the GCS actor table
+    (``ray.util.state`` needs the dashboard, which the tests run without)."""
+    from ray._private.state import actors
+
+    return sum(
+        a["ActorClassName"] == "CrawlStateShard" and a["State"] == "ALIVE"
+        for a in actors().values()
+    )
+
+
 def test_resume_refuses_damaged_fetch_log(store_and_inputs, tmp_path):
     """The fetch log is the crawl's durable seen state: when the file of
     a checkpointed round is missing, truncated or short, resume raises
     instead of rebuilding an under-filled seen filter and fetching
-    seen URLs again."""
+    seen URLs again.  No state actor outlives a refused resume."""
     store, ref, docs_local, idx, seeds = store_and_inputs
     out, ckpt = str(tmp_path / "out"), str(tmp_path / "ckpt")
     crawl(store, seeds, ref, out, CrawlConfig(max_rounds=2, **RESUME_KW), ckpt_dir=ckpt)
@@ -778,8 +789,15 @@ def test_resume_refuses_damaged_fetch_log(store_and_inputs, tmp_path):
         else:
             with open(path, "wb") as fh:
                 fh.write(data)
-        with pytest.raises(ValueError, match="re-crawl without --resume"):
+        with pytest.raises(ValueError, match="re-crawl without --resume") as refused:
             crawl(store, seeds, ref, out, resume, ckpt_dir=ckpt, resume=True)
+        # the refused crawl killed its state actors (ray.kill is async);
+        # their handles are not what ended them: ``refused`` holds the
+        # error, whose traceback still references them
+        deadline = time.time() + 10
+        while _alive_state_shards() and time.time() < deadline:
+            time.sleep(0.1)
+        assert _alive_state_shards() == 0, how
     with open(path, "wb") as fh:
         fh.write(intact)
     assert crawl(store, seeds, ref, out, resume, ckpt_dir=ckpt, resume=True)["urls_fetched"] > 0

@@ -19,7 +19,7 @@ from entity_context_crawler_ray.pipelines import queries as q
 from entity_context_crawler_ray.stages import exchange, relational
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-from test_pipelines import SF  # noqa: E402  the sf0.001 tables the data tests share
+from test_pipelines import ROOT, SF  # noqa: E402  the sf0.001 tables the data tests share
 from tools.verify_oracles import TABLES, canonical, to_pandas, value_hash  # noqa: E402
 
 # every oracle-checked registry query whose plan calls exchange.by_key
@@ -56,6 +56,9 @@ EXCHANGE_QUERIES = [
     "q_dedup_keep_best",
     "q_top_orders_per_cust",
     "q_minhash_neardup",
+    "q_embedding_neardup_lsh",
+    "q_semantic_dedup",
+    "q_fuzzy_names",
 ]
 
 
@@ -94,6 +97,20 @@ def test_segment_helpers_match_per_segment_numpy():
         assert mx[i] == part.max()
     # two key columns: a run breaks where either changes
     assert list(exchange.run_starts([1, 1, 1, 2], ["a", "b", "b", "b"])) == [0, 1, 3]
+
+
+def test_one_per_key_idiom():
+    """Every per-key operator of the package runs through
+    ``exchange.by_key``: no ``groupby().map_groups()`` call is left."""
+    pkg = os.path.join(ROOT, "entity_context_crawler_ray")
+    hits = []
+    for dirpath, _, files in os.walk(pkg):
+        for f in files:
+            if f.endswith(".py"):
+                path = os.path.join(dirpath, f)
+                with open(path) as fh:
+                    hits += [f"{path}:{n}" for n, line in enumerate(fh, 1) if ".map_groups(" in line]
+    assert not hits
 
 
 # --- partition invariance ------------------------------------------------

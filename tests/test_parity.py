@@ -218,6 +218,27 @@ def test_stage1_partition_invariance(inputs):
     } == sim_mentions
 
 
+def test_stage2_partition_invariance(inputs):
+    """Block boundaries never change Stage 2: the same combined rows and
+    mentions in 1 or 7 blocks give the same context multiset, with and
+    without the per-batch top-K combiner, in both crop modes."""
+    docs, ents, idmap, docs_rows, idx = inputs
+    combined = build_matches(docs, ents).materialize()
+    mentions = mentions_view(combined).select_columns(["entity_id", "mention"]).materialize()
+
+    def contexts(blocks, **kw):
+        ds = build_contexts(
+            combined.repartition(blocks), ents, idmap, mentions.repartition(blocks), **kw
+        )
+        return sorted(tuple(r.values()) for r in ds.take_all())
+
+    for crop_sentences in (False, True):
+        for limit_contexts in (None, 3):
+            kw = dict(crop_sentences=crop_sentences, limit_contexts=limit_contexts, seed=7)
+            one = contexts(1, **kw)
+            assert one and one == contexts(7, **kw), kw
+
+
 @pytest.mark.parametrize(
     "kw",
     [

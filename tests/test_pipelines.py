@@ -167,6 +167,13 @@ def test_limit_entities(combined, ents, idmap, mentions_by_entity):
     assert df["entity"].nunique() <= 5
 
 
+def test_unknown_order_mode_raises(combined, ents, idmap, mentions_by_entity):
+    # refused up front, also when --limit-entities does not consult it
+    for kw in ({}, {"limit_entities": 5}):
+        with pytest.raises(ValueError, match="'stable-hash' or 'reference-shuffle'"):
+            build_contexts(combined, ents, idmap, mentions_by_entity, order_mode="shuffle", **kw)
+
+
 def test_sentence_mode_masks_whole_sentences(combined, ents, idmap, mentions_by_entity):
     df = build_contexts(
         combined,
