@@ -23,6 +23,7 @@ import hashlib
 import math
 
 import numpy as np
+import pyarrow as pa
 
 
 def stable_hash64(*parts: object) -> int:
@@ -36,18 +37,30 @@ def stable_hash64(*parts: object) -> int:
 
 # --- Vectorized MD5 ---------------------------------------------------------
 #
+# Input contract (``_as_bytes_lanes``): a message is a ``str``, hashed
+# as its exact UTF-8 bytes (the VARCHAR DuckDB's ``md5()`` hashes), or
+# ``bytes``.  Lists of either and Arrow string/binary arrays are read as
+# Arrow offsets plus one data buffer, so every lane hashes exactly its
+# own bytes, trailing NULs included, and no lane is padded to the
+# widest message of its batch.  NumPy ``S``/``U`` arrays keep NumPy's
+# meaning: the trailing NUL padding is not part of the value.  Callers
+# build messages with ``" ".join`` and f-strings, never NumPy's string
+# ufuncs, whose every pass copies each message into fixed-width UCS-4.
+#
 # Most hashed messages (sampling priorities, LSH plane seeds, n-gram
 # span keys) fit one 64-byte block, so the MD5 of N messages reduces to
 # 64 rounds of uint32 numpy arithmetic over a (16, chunk) word matrix:
 # one compiled kernel instead of N Python ``hashlib`` calls; longer
-# messages chain blocks.  Exactly RFC-1321 MD5, verified bit-for-bit
-# against ``hashlib`` and DuckDB's ``md5()`` in tests/test_stages.py.
-# In-process on one core (best of 3, bit-checked against hashlib) it
-# wins on short single-block keys (500k 16-byte keys: 0.24 s vs
-# 0.41 s), about ties on the 43-byte span grams ``q_span_dedup``
-# hashes (50k ``md5_u128``: 21 ms vs 26 ms), and loses on tiny
-# batches (60 urls: 0.5 ms vs 0.05 ms) and multi-block texts (50k
-# 300-byte texts: 90 ms vs 62 ms).
+# messages chain blocks, one kernel call per block over the lanes that
+# still have it.  Exactly RFC-1321 MD5, verified bit-for-bit against
+# ``hashlib`` and DuckDB's ``md5()`` in tests/test_stages.py.
+# In-process on one core (pinned with taskset, 4-CPU shared box, best
+# of 3, bit-checked against hashlib), kernel vs a hashlib loop: it wins
+# on short keys (500k 16-byte keys: 0.24 s vs 0.33 s) and on the
+# 43-byte span grams ``q_span_dedup`` hashes (50k ``md5_u128``: 22 ms
+# vs 33 ms), and loses on tiny batches (60 urls: 0.6 ms vs 0.04 ms;
+# each call costs ~0.5 ms of numpy calls per block) and on multi-block
+# texts (50k 300-byte texts: 94 ms vs 57 ms).
 
 # K[i] = floor(abs(sin(i+1)) * 2^32) — the RFC 1321 constant table;
 # exact in IEEE-754 double (and asserted against hashlib in tests).
@@ -107,89 +120,118 @@ def _md5_core(words: np.ndarray, state) -> tuple:
     return (a0 + a, b0 + b, c0 + c, d0 + d)
 
 
-def _md5_digest_words(
-    msgs: np.ndarray, lengths: np.ndarray, chunk: int
-) -> tuple:
-    """Full vectorized MD5 (any message length): groups lanes by
-    block count so every group runs a rectangular (16, m) kernel per
-    block with Merkle–Damgård chaining.  Returns the four final
-    uint32[N] state vectors (little-endian digest words A, B, C, D)."""
-    n = msgs.shape[0]
-    width = msgs.dtype.itemsize
+def _md5_digest_words(data: np.ndarray, off: np.ndarray, chunk: int) -> tuple:
+    """Full vectorized MD5 (any message length) over Arrow-style lanes:
+    lane i is ``data[off[i]:off[i+1]]``.  Lanes run in chunks of
+    ``chunk``, most blocks first, so block b of a chunk is one
+    rectangular (16, k) kernel over the prefix of k lanes that still
+    have a block b (Merkle–Damgård chaining): a batch of mixed lengths
+    costs as many kernel calls as its longest lane has blocks.  A block
+    is read as one 64-byte row of a sliding-window view over the
+    zero-tailed data; its bytes past the lane's end are zeroed, then
+    MD5's terminator and bit length are written in.  Returns the four
+    final uint32[N] state vectors (little-endian digest words A, B, C,
+    D)."""
+    n = off.size - 1
+    base = int(off[0])
+    lengths = np.diff(off)
     nblocks = (lengths + 9 + 63) // 64
-    A = np.empty(n, np.uint32)
-    B = np.empty(n, np.uint32)
-    C = np.empty(n, np.uint32)
-    D = np.empty(n, np.uint32)
-    for nb in np.unique(nblocks):
-        sel = np.flatnonzero(nblocks == nb)
-        # the common case (uniform block count) indexes with slices —
-        # a fancy-index gather here costs ~3x on short messages
-        contiguous = sel.size and int(sel[-1]) - int(sel[0]) + 1 == sel.size
-        ln = lengths[sel]
-        for lo in range(0, sel.size, chunk):
-            idx = (
-                slice(int(sel[lo]), int(sel[lo]) + min(chunk, sel.size - lo))
-                if contiguous
-                else sel[lo : lo + chunk]
-            )
-            m = min(chunk, sel.size - lo)
-            lens = ln[lo : lo + chunk]
-            buf = np.zeros((m, int(nb) * 64), dtype=np.uint8)
-            if width:
-                take = min(width, buf.shape[1])
-                buf[:, :take] = (
-                    msgs[idx].view(np.uint8).reshape(m, width)[:, :take]
-                )
-            buf[np.arange(m), lens] = 0x80        # 1-bit terminator
-            words = buf.view("<u4").reshape(m, int(nb) * 16)
-            bits = lens * 8                       # 64-bit LE bit length
-            words[:, -2] = (bits & 0xFFFFFFFF).astype(np.uint32)
-            words[:, -1] = (bits >> 32).astype(np.uint32)
-            state = (
-                np.full(m, 0x67452301, np.uint32),
-                np.full(m, 0xEFCDAB89, np.uint32),
-                np.full(m, 0x98BADCFE, np.uint32),
-                np.full(m, 0x10325476, np.uint32),
-            )
-            for blk in range(int(nb)):
-                block = np.ascontiguousarray(
-                    words[:, blk * 16 : (blk + 1) * 16].T
-                )
-                state = _md5_core(block, state)
-            A[idx], B[idx], C[idx], D[idx] = state
-    return A, B, C, D
+    total = int(off[-1]) - base
+    # zero tail: a lane's last block starts at most 8 bytes past its end
+    padded = np.zeros(total + 128, np.uint8)
+    padded[:total] = data[base : base + total]
+    rows = np.lib.stride_tricks.sliding_window_view(padded, 64)
+    order = np.argsort(-nblocks, kind="stable")
+    cols = np.arange(16)
+    state = [
+        np.full(n, iv, np.uint32)
+        for iv in (0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476)
+    ]
+    for lo in range(0, n, chunk):
+        idx = order[lo : lo + chunk]
+        starts = off[idx] - base
+        lens = lengths[idx]
+        nbs = nblocks[idx]
+        neg = -nbs
+        st = [s[idx] for s in state]
+        for blk in range(int(nbs[0])):
+            # lanes still running, and from j on the lanes whose message
+            # ends in this block or the next (the rest are full blocks)
+            k = int(np.searchsorted(neg, -blk, "left"))
+            j = int(np.searchsorted(neg, -blk - 2, "left"))
+            words = rows[starts[:k] + 64 * blk].view("<u4")   # (k, 16) copy
+            # bytes past a lane's end belong to the next lane: keep the
+            # words wholly inside it, zero the rest, then rebuild the
+            # word the lane ends in with the 1-bit terminator
+            tail = words[j:]
+            rel = lens[j:k] - 64 * blk
+            ends = np.flatnonzero((rel >= 0) & (rel < 64))
+            full = rel[ends] >> 2
+            shift = ((rel[ends] & 3) * 8).astype(np.uint32)
+            part = tail[ends, full]
+            tail *= cols < (rel >> 2)[:, None]
+            tail[ends, full] = (
+                part & ((np.uint32(1) << shift) - np.uint32(1))
+            ) | (np.uint32(0x80) << shift)
+            last = j + np.flatnonzero(nbs[j:k] == blk + 1)
+            bits = lens[last] * 8                 # 64-bit LE bit length
+            words[last, 14] = (bits & 0xFFFFFFFF).astype(np.uint32)
+            words[last, 15] = (bits >> 32).astype(np.uint32)
+            out = _md5_core(np.ascontiguousarray(words.T), [s[:k] for s in st])
+            for s, o in zip(st, out):
+                s[:k] = o
+        for s, o in zip(state, st):
+            s[idx] = o
+    return tuple(state)
 
 
 def _as_bytes_lanes(msgs) -> tuple:
-    """Normalize to an S-dtype array + actual per-lane byte lengths
-    (fixed-width dtypes over-allocate: an int64 stringifies to U21,
-    so the dtype width is not the message length).  ``str`` lanes hash
-    as their UTF-8 bytes, as DuckDB's ``md5()`` hashes a VARCHAR."""
-    msgs = np.asarray(msgs)
-    if msgs.dtype.kind in "UO":
-        msgs = msgs.astype("U", copy=False)
-        try:
-            msgs = msgs.astype("S")
-        except UnicodeEncodeError:
-            msgs = np.char.encode(msgs, "utf-8")
+    """Normalize to Arrow-style lanes: ``(data uint8, offsets int64[N+1])``.
+
+    - ``str`` lanes (a list, an object array, an Arrow ``string``
+      array) hash as their exact UTF-8 bytes, as DuckDB's ``md5()``
+      hashes a VARCHAR; ``bytes`` lanes and Arrow ``binary`` arrays
+      hash as themselves.  A trailing ``\\x00`` is part of the message.
+    - NumPy ``S``/``U`` arrays keep NumPy's meaning: each element is
+      its value with the trailing NUL padding stripped (an ``S70``
+      array of ``b"a"`` hashes ``b"a"``).
+    - Arrow arrays are read in place, offsets and data buffer; null
+      lanes are refused (SQL ``md5(NULL)`` is NULL, not a hash)."""
+    if isinstance(msgs, pa.ChunkedArray):
+        msgs = msgs.combine_chunks()
+    if not isinstance(msgs, pa.Array):
+        if isinstance(msgs, np.ndarray):
+            msgs = msgs.tolist()
+        # an empty list has no element type to infer
+        msgs = pa.array(msgs, None if len(msgs) else pa.string())
+    t = msgs.type
+    if pa.types.is_string(t) or pa.types.is_binary(t):
+        off_type = np.int32
+    elif pa.types.is_large_string(t) or pa.types.is_large_binary(t):
+        off_type = np.int64
     else:
-        msgs = msgs.astype("S", copy=False)
-    lengths = np.char.str_len(msgs).astype(np.int64)
-    return msgs, lengths
+        raise TypeError(f"md5 lanes must be str or bytes, got {t}")
+    if msgs.null_count:
+        raise ValueError("md5 lanes must not be null")
+    _, obuf, dbuf = msgs.buffers()
+    n = len(msgs)
+    off = np.frombuffer(obuf, off_type)[msgs.offset : msgs.offset + n + 1]
+    data = np.empty(0, np.uint8) if dbuf is None else np.frombuffer(dbuf, np.uint8)
+    return data, off.astype(np.int64)
 
 
-def md5_u64(msgs: np.ndarray, chunk: int = 1 << 16) -> np.ndarray:
-    """Vectorized MD5: ``msgs`` is an array (or list) of bytes or
-    ``str`` messages of any length.  Returns ``uint64[N]``
-    equal to ``int.from_bytes(hashlib.md5(m).digest()[:8], "big")``
+def md5_u64(msgs, chunk: int = 1 << 16) -> np.ndarray:
+    """Vectorized MD5 of messages of any length: a list of ``str`` or
+    ``bytes``, an Arrow string/binary array, or a NumPy ``S``/``U``/
+    object array (read as ``_as_bytes_lanes`` says).  Returns
+    ``uint64[N]`` equal to ``int.from_bytes(hashlib.md5(m).digest()[:8], "big")``
     per message — the exact value DuckDB's
     ``CAST(('0x' || substr(md5(m),1,16)) AS UBIGINT)`` computes, and
     ``stable_hash64`` over the same key."""
-    msgs, lengths = _as_bytes_lanes(msgs)
-    if msgs.shape[0] == 0:
+    data, off = _as_bytes_lanes(msgs)
+    if off.size == 1:
         return np.empty(0, dtype=np.uint64)
-    a, b, _, _ = _md5_digest_words(msgs, lengths, chunk)
+    a, b, _, _ = _md5_digest_words(data, off, chunk)
     # digest[:8] = LE bytes of A then B, read big-endian:
     # u64 = byteswap32(A) << 32 | byteswap32(B)
     return (
@@ -198,16 +240,16 @@ def md5_u64(msgs: np.ndarray, chunk: int = 1 << 16) -> np.ndarray:
     )
 
 
-def md5_u128(msgs: np.ndarray, chunk: int = 1 << 16) -> tuple:
+def md5_u128(msgs, chunk: int = 1 << 16) -> tuple:
     """Vectorized full-width MD5: returns ``(hi, lo)`` uint64 arrays —
     the 128-bit digest read big-endian, split so callers can key an
     exchange on two int64 columns.  64-bit gram keys collide at ~2^32
     distinct grams (hours of a 100 TB corpus); span-dedup's production
     path keys on the full 128 bits."""
-    msgs, lengths = _as_bytes_lanes(msgs)
-    if msgs.shape[0] == 0:
+    data, off = _as_bytes_lanes(msgs)
+    if off.size == 1:
         return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.uint64)
-    a, b, c, d = _md5_digest_words(msgs, lengths, chunk)
+    a, b, c, d = _md5_digest_words(data, off, chunk)
     hi = (a.byteswap().astype(np.uint64) << np.uint64(32)) | b.byteswap().astype(
         np.uint64
     )

@@ -4384,7 +4384,7 @@ def q_incremental_dedup(sf_dir: str):
     def content_key(t: pa.Table) -> pa.Table:
         from entity_context_crawler_ray.functions.hashing import md5_u64
 
-        h = md5_u64(t["text"].to_pylist()).view(np.int64)
+        h = md5_u64(t["text"]).view(np.int64)
         out = t.drop_columns(["text"])
         return out.append_column("h", pa.array(h, pa.int64()))
 

@@ -198,26 +198,21 @@ def minhash_bands(
                 "band_hash": pa.array([], pa.string()),
             }
         )
-    hs = md5_u64(np.char.add("sh", np.asarray(gram_parts))) >> np.uint64(32)
+    hs = md5_u64(["sh" + g for g in gram_parts]) >> np.uint64(32)
     starts = np.asarray(starts_list, dtype=np.int64)
     with np.errstate(over="ignore"):
         perms = (a[:, None] * hs[None, :] + b[:, None]) % M  # (P, grams)
     sig = np.minimum.reduceat(perms, starts, axis=1)         # (P, docs)
-    # band-hash messages: 'band-v1-v2-...' built by vectorized joins
+    # band-hash messages 'band-v1-v2-...', all bands in one md5 call
     n_docs = len(keep_ids)
-    out_hash = np.empty((bands, n_docs), dtype=object)
-    for band in range(bands):
-        parts = np.char.mod("%d", sig[band * rows_per_band].astype(np.int64))
-        msg = np.char.add(f"{band}-", parts)
-        for r in range(1, rows_per_band):
-            nxt = np.char.mod(
-                "%d", sig[band * rows_per_band + r].astype(np.int64)
-            )
-            msg = np.char.add(np.char.add(msg, "-"), nxt)
-        hi, lo = md5_u128(msg)
-        out_hash[band] = np.char.add(
-            np.char.mod("%016x", hi), np.char.mod("%016x", lo)
-        )
+    rows = sig.T.tolist()                                    # per doc
+    r = rows_per_band
+    msgs = [
+        f"{band}-" + "-".join(map(str, row[band * r : band * r + r]))
+        for band in range(bands)
+        for row in rows
+    ]
+    hi, lo = md5_u128(msgs)
     doc_idx = np.tile(np.arange(n_docs), bands)
     band_idx = np.repeat(np.arange(bands), n_docs)
     return pa.table(
@@ -227,7 +222,8 @@ def minhash_bands(
             ),
             "band_id": pa.array(band_idx, pa.int32()),
             "band_hash": pa.array(
-                np.concatenate(out_hash).tolist(), pa.string()
+                [f"{h:016x}{l:016x}" for h, l in zip(hi.tolist(), lo.tolist())],
+                pa.string(),
             ),
         }
     )
@@ -809,22 +805,17 @@ def span_ngram_occurrences(
     def emit(t: pa.Table) -> pa.Table:
         ids = t[id_col].to_pylist()
         texts = t[text_col].to_pylist()
-        doc_parts, off_parts, gram_parts = [], [], []
+        doc_parts, off_parts, grams = [], [], []
         for d, txt in zip(ids, texts):
             toks = _WORD_RE.findall(txt.lower())
             m = len(toks) - n + 1
             if m <= 0:
                 continue
-            arr = np.asarray(toks)
-            g = arr[:m]
-            for j in range(1, n):           # vectorized gram join
-                g = np.char.add(np.char.add(g, " "), arr[j : j + m])
-            gram_parts.append(g)
+            grams.extend(" ".join(toks[j : j + n]) for j in range(m))
             doc_parts.append(np.full(m, d, np.int64))
             off_parts.append(np.arange(m, dtype=np.int64))
         cols: dict = {}
-        if gram_parts:
-            grams = np.concatenate(gram_parts)
+        if grams:
             if hash_bits == 128:
                 hi, lo = md5_u128(grams)
                 cols["key_hi"] = pa.array(hi.view(np.int64), pa.int64())
@@ -1166,7 +1157,7 @@ def winnow_fingerprints(
             sel = np.unique(np.arange(m - w + 1) + rev)
         out_id.extend([d] * len(sel))
         out_pos.extend(sel.tolist())
-        out_fp.extend(np.char.mod("%016x", h[sel]).tolist())
+        out_fp.extend(f"{v:016x}" for v in h[sel].tolist())
     return pa.table(
         {
             id_col: pa.array(out_id, batch[id_col].type),

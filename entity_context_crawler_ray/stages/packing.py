@@ -171,43 +171,39 @@ def cdc_chunks(
     CDC chunks dedup-friendly across near-identical docs).  Emits
     (doc_id, chunk_id, tok_start, tok_end, chunk_key) with tok_end
     exclusive and chunk_key = md5-u64 hex of the chunk's token join —
-    the column an exact-dedup pass keys on.  Pure map_batches; the
-    per-doc window hashes ride the vectorized MD5 kernel."""
+    the column an exact-dedup pass keys on.  Pure map_batches: one
+    vectorized MD5 call hashes all of a block's windows (each doc
+    slices its own out by offset), one more all of its chunk keys."""
     from ..functions.hashing import md5_u64
 
     mask = np.uint64((1 << mask_bits) - 1)
 
     def chunk(t: pa.Table) -> pa.Table:
-        out_id, out_cid, out_s, out_e, out_k = [], [], [], [], []
+        docs, windows = [], []          # (doc, tokens, first window)
         for d, txt in zip(t[id_col].to_pylist(), t[text_col].to_pylist()):
             toks = _WORD_RE.findall(txt.lower())
+            if toks:
+                docs.append((d, toks, len(windows)))
+                windows.extend(
+                    " ".join(toks[j : j + w]) for j in range(len(toks) - w + 1)
+                )
+        h = md5_u64(windows)
+        out_id, out_cid, out_s, out_e, keys = [], [], [], [], []
+        for d, toks, at in docs:
             m = len(toks)
-            if m == 0:
-                continue
-            if m >= w:
-                arr = np.asarray(toks)
-                g = arr[: m - w + 1]
-                for j in range(1, w):
-                    g = np.char.add(np.char.add(g, " "), arr[j : j + m - w + 1])
-                h = md5_u64(g)
-                # boundary after position p = (w-1) + idx where the
-                # window hash has its low mask_bits zero; the last
-                # position never opens an empty trailing chunk
-                bpos = np.flatnonzero((h & mask) == 0) + (w - 1)
-                bpos = bpos[bpos < m - 1]
-            else:
-                bpos = np.empty(0, dtype=np.int64)
-            starts = np.concatenate(([0], bpos + 1))
-            ends = np.concatenate((bpos + 1, [m]))
-            keys = md5_u64(
-                [" ".join(toks[s:e]) for s, e in zip(starts, ends)]
-            )
-            for cid, (s, e, k) in enumerate(zip(starts, ends, keys)):
+            # boundary after position p = (w-1) + idx where the window
+            # hash has its low mask_bits zero; the last position never
+            # opens an empty trailing chunk
+            hd = h[at : at + max(m - w + 1, 0)]
+            bpos = np.flatnonzero((hd & mask) == 0) + (w - 1)
+            cuts = [0] + [p + 1 for p in bpos.tolist() if p < m - 1] + [m]
+            for cid, (s, e) in enumerate(zip(cuts, cuts[1:])):
                 out_id.append(d)
                 out_cid.append(cid)
-                out_s.append(int(s))
-                out_e.append(int(e))
-                out_k.append(f"{k:016x}")
+                out_s.append(s)
+                out_e.append(e)
+                keys.append(" ".join(toks[s:e]))
+        out_k = [f"{k:016x}" for k in md5_u64(keys).tolist()]
         return pa.table(
             {
                 id_col: pa.array(out_id, pa.int64()),

@@ -184,20 +184,12 @@ def _sample_u64(key: str, salt: str) -> int:
 def _sample_u64_vec(vals, salt: str) -> np.ndarray:
     """Vectorized ``_sample_u64`` (uint64[N]) via the numpy MD5 kernel
     — message = ``salt + str(v)`` exactly, as the oracle SQL hashes
-    it.  Integer/string arrays stringify through
-    numpy (identical to ``str()`` for those types); other types fall
-    back to a per-element ``str()`` (still no per-row hashlib call —
-    the hashing itself is one vector kernel)."""
+    it (no per-row hashlib call: the hashing is one vector kernel)."""
     from ..functions.hashing import md5_u64
 
-    arr = np.asarray(vals) if not isinstance(vals, np.ndarray) else vals
-    if arr.dtype.kind in "iu":
-        u = arr.astype("U")
-    elif arr.dtype.kind == "U":
-        u = arr
-    else:
-        u = np.array([str(v) for v in arr.tolist()], dtype="U")
-    return md5_u64(np.char.add(salt, u))
+    if isinstance(vals, np.ndarray):
+        vals = vals.tolist()
+    return md5_u64([salt + str(v) for v in vals])
 
 
 def sample_fraction(
@@ -220,16 +212,16 @@ def sample_fraction(
     return ds.map_batches(filt, batch_format="pyarrow")
 
 
-def _key_strings(t: pa.Table, key_cols: Sequence[str], salt: str) -> np.ndarray:
-    """Vectorized ``salt + k0 + '-' + k1 + ...`` message prefixes
-    (unicode array) — the exact string DuckDB builds with
-    ``salt || k0 || '-' || k1``.  Integer columns stringify the same
-    way in numpy ``.astype('U')`` and SQL ``CAST(.. AS VARCHAR)``."""
-    pref: np.ndarray | None = None
-    for c in key_cols:
-        col = t[c].to_numpy(zero_copy_only=False).astype("U")
-        pref = col if pref is None else np.char.add(np.char.add(pref, "-"), col)
-    return np.char.add(salt, pref)
+def _key_strings(t: pa.Table, key_cols: Sequence[str], salt: str) -> List[str]:
+    """``salt + k0 + '-' + k1 + ...`` message prefixes — the exact
+    string DuckDB builds with ``salt || k0 || '-' || k1``.  Integer
+    columns stringify the same way in numpy ``.astype('U')`` and SQL
+    ``CAST(.. AS VARCHAR)``."""
+    cols = [
+        t[c].to_numpy(zero_copy_only=False).astype("U").tolist()
+        for c in key_cols
+    ]
+    return [salt + "-".join(parts) for parts in zip(*cols)]
 
 
 def _es_priority_partial(
@@ -270,14 +262,9 @@ def _es_priority_partial(
                 )
             starts = np.zeros(n, dtype=np.int64)
             np.cumsum(w[:-1], out=starts[1:])
-            row_i = np.repeat(np.arange(n), w)
-            i_within = np.arange(int(w.sum()), dtype=np.int64) - np.repeat(
-                starts, w
+            h = md5_u64(
+                [f"{p}-{i}" for p, wi in zip(pref, w.tolist()) for i in range(wi)]
             )
-            msgs = np.char.add(
-                np.char.add(pref[row_i], "-"), i_within.astype("U")
-            )
-            h = md5_u64(msgs)
             pri = np.maximum.reduceat(h, starts)
             # shift into signed range so the Dataset sort is exact
             cols["pri"] = pa.array(

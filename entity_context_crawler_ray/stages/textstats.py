@@ -120,11 +120,9 @@ def fingerprint(batch: pa.Table, text_col: str = "text", shingle: int = 5) -> pa
     )
     lo_masked = np.where(hi == min_hi[doc_of], lo, np.iinfo(np.uint64).max)
     min_lo = np.minimum.reduceat(lo_masked, starts)
-    fps = np.char.add(
-        np.char.mod("%016x", min_hi), np.char.mod("%016x", min_lo)
-    )
+    fps = [f"{h:016x}{l:016x}" for h, l in zip(min_hi.tolist(), min_lo.tolist())]
     out = batch.drop_columns([text_col])
-    return out.append_column("fingerprint", pa.array(fps.tolist(), pa.string()))
+    return out.append_column("fingerprint", pa.array(fps, pa.string()))
 
 
 # GPT-2-style pre-tokenizer (public: Radford et al. 2019, the released
@@ -705,8 +703,7 @@ class QualityModel:
             words.extend(_SYM_RE.findall(t.lower()))
         scores = np.zeros(len(texts), dtype=np.int64)
         if words:
-            msgs = np.char.add(self.salt, np.asarray(words))
-            buckets = md5_u64(msgs) % np.uint64(self.dim)
+            buckets = md5_u64([self.salt + w for w in words]) % np.uint64(self.dim)
             wt = self.weights[buckets.astype(np.int64)]
             # per-doc sums over wt padded with one zero, so a trailing
             # tokenless doc's start (== len) stays a valid index; empty

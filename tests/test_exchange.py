@@ -113,6 +113,21 @@ def test_one_per_key_idiom():
     assert not hits
 
 
+def test_no_numpy_char():
+    """Hash messages are ``str`` lists or Arrow string arrays end to
+    end: no ``np.char`` element-wise string pass is left in the
+    package (each costs a fixed-width UCS-4 copy of every message)."""
+    pkg = os.path.join(ROOT, "entity_context_crawler_ray")
+    hits = []
+    for dirpath, _, files in os.walk(pkg):
+        for f in files:
+            if f.endswith(".py"):
+                path = os.path.join(dirpath, f)
+                with open(path) as fh:
+                    hits += [f"{path}:{n}" for n, line in enumerate(fh, 1) if "np.char." in line]
+    assert not hits
+
+
 # --- partition invariance ------------------------------------------------
 
 # (input pieces, target_max_block_size): pieces are Arrow tables for

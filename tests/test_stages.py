@@ -1395,6 +1395,25 @@ def test_md5_u64_matches_hashlib():
     assert duck == want
     hi, _ = md5_u128(words)
     assert hi.tolist() == want
+    # trailing NULs are message bytes in str, bytes and Arrow lanes
+    # (only NumPy S arrays above strip them: that is their meaning)
+    nul = ["ab\x00", "\x00", "é\x00", "x" * 54 + "\x00", "y" * 63 + "\x00\x00"]
+    raw = [m.encode("utf-8") for m in nul]
+    want = [int.from_bytes(hashlib.md5(m).digest()[:8], "big") for m in raw]
+    con = duckdb.connect()
+    duck = [
+        con.execute("SELECT CAST(('0x' || substr(md5(?), 1, 16)) AS UBIGINT)", [m]).fetchone()[0]
+        for m in nul
+    ]
+    con.close()
+    assert duck == want
+    assert md5_u64(nul).tolist() == want
+    assert md5_u64(raw).tolist() == want
+    assert md5_u64(pa.array(nul)).tolist() == want
+    assert md5_u64(pa.array(raw, pa.binary())).tolist() == want
+    assert md5_u64(pa.array(nul, pa.large_string())).tolist() == want
+    # an Arrow slice reads its own lanes, not the parent's first ones
+    assert md5_u64(pa.array(["pad"] + nul).slice(1)).tolist() == want
     # callers pass str keys straight through: a weighted sample keyed by
     # a non-ASCII string column hashes the keys' UTF-8 bytes
     from entity_context_crawler_ray.stages.stats import U64, _es_priority_partial
@@ -1406,6 +1425,105 @@ def test_md5_u64_matches_hashlib():
     assert pri.to_pylist() == pytest.approx(
         [np.log((h[0] + 1.0) / U64) / 2, np.log((h[1] + 1.0) / U64)]
     )
+
+
+def _md5(m: str) -> bytes:
+    import hashlib
+
+    return hashlib.md5(m.encode("utf-8")).digest()
+
+
+def _md5_int(m: str) -> int:
+    return int.from_bytes(_md5(m)[:8], "big")
+
+
+# empty, n-1 tokens, exactly n tokens, non-ASCII, punctuation-only,
+# and one long doc, for a gram builder with gram size n
+def _edge_docs(n: int) -> pa.Table:
+    texts = [
+        "",
+        " ".join(f"t{i}" for i in range(n - 1)),
+        " ".join(f"T{i}" for i in range(n)),
+        "Zürich Straße café naïve 東京 São Paulo über ÅNGSTRÖM " * 2,
+        "... !!! ,,, -- ?? ; :)",
+        " ".join(f"w{i % 7} x{i % 3}" for i in range(40)),
+    ]
+    return pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()), "text": texts})
+
+
+def test_gram_builders_match_per_row_hashlib_on_edge_docs():
+    import re
+
+    from entity_context_crawler_ray.stages import packing
+
+    def rows(df, cols):
+        return sorted(df[cols].itertuples(index=False, name=None))
+
+    # span_ngram_occurrences: (md5 hi, [md5 lo,] doc, off) per 8-gram
+    docs = _edge_docs(8)
+    want64, want128 = [], []
+    for d, txt in zip(docs["doc_id"].to_pylist(), docs["text"].to_pylist()):
+        toks = re.findall(r"[a-z0-9_]+", txt.lower())
+        for off in range(len(toks) - 7):
+            dg = _md5(" ".join(toks[off : off + 8]))
+            hi = int.from_bytes(dg[:8], "big", signed=True)
+            lo = int.from_bytes(dg[8:], "big", signed=True)
+            want64.append((hi, d, off))
+            want128.append((hi, lo, d, off))
+    assert want64, "the edge docs should emit grams"
+    got = dedup.span_ngram_occurrences(ray.data.from_arrow(docs), n=8).to_pandas()
+    assert rows(got, ["key_hi", "key_lo", "doc_id", "off"]) == sorted(want128)
+    got = dedup.span_ngram_occurrences(
+        ray.data.from_arrow(docs), n=8, hash_bits=64
+    ).to_pandas()
+    assert rows(got, ["key_hi", "doc_id", "off"]) == sorted(want64)
+
+    # cdc_chunks: a boundary after p when the window ending at p hashes
+    # to 0 mod 2^mask_bits; chunk_key is the md5-u64 hex of the chunk
+    w, bits = 4, 2
+    docs = _edge_docs(w)
+    want = []
+    for d, txt in zip(docs["doc_id"].to_pylist(), docs["text"].to_pylist()):
+        toks = re.findall(r"[a-z0-9_]+", txt.lower())
+        m = len(toks)
+        if not m:
+            continue
+        cuts = [0] + [
+            p + 1
+            for p in range(w - 1, m - 1)
+            if _md5_int(" ".join(toks[p - w + 1 : p + 1])) % (1 << bits) == 0
+        ] + [m]
+        for cid, (s, e) in enumerate(zip(cuts, cuts[1:])):
+            want.append((d, cid, s, e, _md5(" ".join(toks[s:e]))[:8].hex()))
+    assert len(want) > len(docs), "mask_bits=2 should cut the long doc"
+    got = packing.cdc_chunks(ray.data.from_arrow(docs), w=w, mask_bits=bits).to_pandas()
+    cols = ["doc_id", "chunk_id", "tok_start", "tok_end", "chunk_key"]
+    assert rows(got, cols) == sorted(want)
+
+    # minhash_bands: per-shingle md5 permutations, min per row, md5 of
+    # the 'band-v1-v2-...' message as 32 hex digits
+    num_perm, bands, n = 8, 4, 3
+    docs = _edge_docs(n)
+    a = [(_md5_int(f"mh-a-{i}") >> 32) | 1 for i in range(num_perm)]
+    b = [_md5_int(f"mh-b-{i}") >> 32 for i in range(num_perm)]
+    r = num_perm // bands
+    want = []
+    for d, txt in zip(docs["doc_id"].to_pylist(), docs["text"].to_pylist()):
+        ws = re.findall(r"[A-Za-z0-9_]+", txt)
+        grams = (
+            [" ".join(ws[i : i + n]) for i in range(len(ws) - n + 1)]
+            if len(ws) >= n
+            else [" ".join(ws)] * bool(ws)
+        )
+        if not grams:
+            continue
+        hs = [_md5_int("sh" + g) >> 32 for g in grams]
+        sig = [min((a[p] * h + b[p]) % (1 << 32) for h in hs) for p in range(num_perm)]
+        for band in range(bands):
+            msg = f"{band}-" + "-".join(str(v) for v in sig[band * r : band * r + r])
+            want.append((d, band, _md5(msg).hex()))
+    got = dedup.minhash_bands(docs, num_perm=num_perm, bands=bands, shingle_n=n)
+    assert rows(got.to_pandas(), ["doc_id", "band_id", "band_hash"]) == sorted(want)
 
 
 def test_weighted_sample_both_modes_match_local_recomputation():
