@@ -188,15 +188,19 @@ def cmd_crawl(args) -> int:
         doc_store_partitions=args.partitions,
         max_rounds=args.max_rounds,
     )
-    metrics = crawl(
-        args.docstore,
-        seeds,
-        ref,
-        args.out,
-        cfg,
-        ckpt_dir=args.ckpt_dir,
-        resume=args.resume,
-    )
+    try:
+        metrics = crawl(
+            args.docstore,
+            seeds,
+            ref,
+            args.out,
+            cfg,
+            ckpt_dir=args.ckpt_dir,
+            resume=args.resume,
+        )
+    except ValueError as e:  # a refused resume
+        print(e)
+        return 1
     print(json.dumps({k: v for k, v in metrics.items() if k != "rounds"}))
     return 0
 

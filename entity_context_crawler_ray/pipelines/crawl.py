@@ -12,9 +12,7 @@ rounds, with
   (state/politeness.py) of the hosts it owns; the shard also
   schedules the frontier bucket of those hosts (owner computes), so a
   round makes one ``schedule`` and one ``commit`` call per shard and
-  no other state round trip, and the shards schedule in parallel.  A
-  hot bucket is first pre-truncated per url-hash slice to each host's
-  top-capacity (the exact-top-K combiner trick, SURVEY.md §7.4),
+  no other state round trip, and the shards schedule in parallel,
 - a global **priority + round budget** split, deterministic via
   (priority desc, url asc) ordering — per-bucket local top-budget
   truncation + a bounded driver merge,
@@ -70,23 +68,19 @@ import pyarrow.parquet as pq
 import ray
 
 from ..functions.broadcast import cached, ref_id
-from ..functions.hashing import md5_u64
-from ..sources.doc_store import DocStoreReader, PlasmaDocStoreReader, preload_doc_store
+from ..sources.doc_store import PlasmaDocStoreReader, preload_doc_store
 from ..sources.docs import host_of
 from ..stages.match import CombinedBuilder, SpanColumns
 from ..state.frontier import (
     EMPTY_FRONTIER,
     FRONTIER_SCHEMA,
     as_candidates,
-    combine_candidates,
     from_ipc,
     frontier_round_dir,
     write_bucketed,
 )
 from ..state.politeness import politeness_shard_of
-from ..state.bloom import url_hashes
 from ..state.shard import CrawlStateShardActor
-from ..state.storage import get_store
 
 LINK_ITEM = pa.struct([("target", pa.string()), ("is_entity", pa.bool_())])
 
@@ -112,23 +106,9 @@ class CrawlConfig:
     # cluster, up to about one per CPU: each is a process to start (on
     # 4 CPUs, 16 shards ran the bench.py crawl 1.9× slower than 4)
     num_politeness_shards: int = 2
-    # Distributed pre-scheduling of HOT buckets (default-on): a
-    # single-domain crawl funnels every candidate into one frontier
-    # bucket (bucket = f(host)), so one state shard would do all the
-    # combine/probe/sort work.  Buckets whose on-disk candidate bytes
-    # exceed presplit_factor/num_politeness_shards of the round total AND
-    # presplit_min_bytes are pre-processed by a wave of url-hash-sliced
-    # tasks (combine → bloom probe → robots-deny → per-host
-    # top-capacity truncation) that leave compact presched files for
-    # the owning shard — semantics-preserving because every
-    # global-top-room candidate survives its slice's top-capacity cut.
-    presplit_factor: float = 2.0
-    presplit_min_bytes: int = 32 << 20
-    presplit_slices: int = 8         # tasks per hot bucket in the wave
     entity_bonus: float = 10.0
     fetch_batch_size: int = 64
     doc_store_partitions: int = 32
-    preload_store: bool = True       # pin partitions in plasma (zero-copy fetch)
     max_rounds: int = 64             # safety backstop
 
 
@@ -138,17 +118,14 @@ class CrawlConfig:
 # cache: loaded on a worker's first fetch, reused by every later round
 # and every later crawl over the same broadcasts — no actor pool to
 # start per crawl.
-def _fetch_state(store_dir: str, num_partitions: int, entities_ref, store_refs=None):
+def _fetch_state(store_dir: str, num_partitions: int, entities_ref, store_refs):
     def load():
         idx = (
             ray.get(entities_ref)
             if isinstance(entities_ref, ray.ObjectRef)
             else entities_ref
         )
-        if store_refs is not None:
-            reader = PlasmaDocStoreReader(ray.get(store_refs), num_partitions)
-        else:
-            reader = DocStoreReader(store_dir, num_partitions)
+        reader = PlasmaDocStoreReader(ray.get(store_refs), num_partitions)
         return reader, idx["title_to_eid"], idx["eid_to_label"]
 
     # key includes the broadcast identities: the same store crawled
@@ -161,7 +138,7 @@ class FetchExtract:
     (+ out_links for the frontier).  Constructed per task, but all
     state comes from the worker-process cache (see _fetch_state)."""
 
-    def __init__(self, store_dir: str, num_partitions: int, entities_ref, store_refs=None):
+    def __init__(self, store_dir: str, num_partitions: int, entities_ref, store_refs):
         self.reader, self.title_to_eid, self.eid_to_label = _fetch_state(
             store_dir, num_partitions, entities_ref, store_refs
         )
@@ -289,94 +266,6 @@ def _fetch_extract_task(
     return n_fetched, n_link_rows, fname, pages.num_rows
 
 
-@ray.remote(num_cpus=1)
-def _presplit_task(
-    bucket: int,
-    slice_id: int,
-    n_slices: int,
-    in_dir: str,
-    next_dir: str,
-    shard,
-    config: CrawlConfig,
-) -> Tuple[int, int]:
-    """Wave-0 pre-scheduling of one url-hash SLICE of a hot bucket:
-    combine partials → bloom probe (the slice hashes its urls, the
-    bucket's owning ``shard`` looks the hashes up) → robots-deny →
-    per-host sort + top-capacity
-    truncation.  Survivors land as a compact ``presched-{slice}`` file
-    the owning shard merges; the truncated tail is deferred to the next
-    round.  Exact because (a) every copy/partial of a url shares its
-    slice (url hash), so combine is complete, and (b) a host's global
-    top-room candidates are within each slice's local top-capacity.
-    Retry-idempotent: reads + deterministic atomic writes only; never
-    touches politeness state.  Returns (n_denied, n_deferred)."""
-    store = get_store()
-    bdir = os.path.join(in_dir, f"bucket={bucket}")
-    files = [
-        f
-        for f in store.list_tables(os.path.join(bdir, "*"))
-        if not os.path.basename(f).startswith("presched-")
-    ]
-    if not files:
-        return 0, 0
-    raw = pa.concat_tables([store.read_table(f) for f in files])
-    mine = raw.filter(
-        pa.array(
-            md5_u64(["presplit\x1f" + u for u in raw["url"].to_pylist()]) % n_slices
-            == slice_id
-        )
-    )
-    cand = combine_candidates(mine, config.entity_bonus)
-    if cand.num_rows:
-        seen = ray.get(shard.probe_hashes.remote(url_hashes(cand["url"].to_pylist())))
-        cand = cand.filter(pc.invert(pa.array(seen, pa.bool_())))
-    n_denied = 0
-    n_deferred = 0
-    if not cand.num_rows:
-        return 0, 0
-    idx = pc.sort_indices(
-        cand,
-        sort_keys=[
-            ("host", "ascending"),
-            ("priority", "descending"),
-            ("url", "ascending"),
-        ],
-    )
-    cand = cand.take(idx)
-    hosts = cand["host"].to_pylist()
-    urls = cand["url"].to_pylist()
-    keep_idx: List[int] = []
-    defer_idx: List[int] = []
-    start = 0
-    for i in range(1, len(hosts) + 1):
-        if i == len(hosts) or hosts[i] != hosts[start]:
-            prefixes = tuple(config.deny.get(hosts[start], ()))
-            kept = 0
-            for k in range(start, i):
-                if prefixes and any(urls[k].startswith(p) for p in prefixes):
-                    n_denied += 1
-                elif kept < config.capacity:
-                    keep_idx.append(k)
-                    kept += 1
-                else:
-                    defer_idx.append(k)
-            start = i
-    if defer_idx:
-        n_deferred = write_bucketed(
-            as_candidates(cand.take(pa.array(defer_idx, pa.int64()))),
-            next_dir,
-            f"psdefer-{bucket}-{slice_id}",
-            config.num_politeness_shards,
-        )
-    keep = cand.take(pa.array(keep_idx, pa.int64()))
-    if keep.num_rows:
-        store.write_table(
-            as_candidates(keep),
-            os.path.join(bdir, f"presched-{slice_id}{store.suffix}"),
-        )
-    return n_denied, n_deferred
-
-
 def _schedule_round(
     in_dir: str,
     next_dir: str,
@@ -388,7 +277,7 @@ def _schedule_round(
     call per state shard whose bucket holds candidates, all in
     parallel, then the driver's global (priority desc, url) merge and
     budget cut.  Returns (fetch_tbl, deferred_rows_written,
-    n_denied, n_admitted, n_presplit_buckets, refunds), where
+    n_denied, n_admitted, refunds), where
     ``refunds[s]`` = {host: n} are the admissions on shard ``s`` that
     the global cut deferred (refunded by the shard's ``commit``).
     Deferred rows never touch the driver beyond the global cut — they
@@ -398,55 +287,14 @@ def _schedule_round(
         for p in _glob.glob(os.path.join(in_dir, "bucket=*"))
     )
     if not bucket_ids:
-        return EMPTY_FRONTIER, 0, 0, 0, 0, {}
+        return EMPTY_FRONTIER, 0, 0, 0, {}
     num_shards = len(shards)
-
-    # wave 0 (default-on): pre-schedule HOT buckets with url-hash
-    # sliced tasks.  Detection is on-disk bucket byte skew — a
-    # single-domain crawl funnels every candidate into one bucket, so
-    # that bucket's bytes dwarf total/num_shards.  Byte sizes come
-    # from a directory stat, no reads.
-    presplit: frozenset = frozenset()
-    n_denied = 0
-    n_deferred = 0
-    sizes = {
-        b: sum(
-            os.path.getsize(f)
-            for f in _glob.glob(os.path.join(in_dir, f"bucket={b}", "*"))
-            if not os.path.basename(f).startswith("presched-")
-        )
-        for b in bucket_ids
-    }
-    total_bytes = sum(sizes.values())
-    rel_cut = (
-        total_bytes * config.presplit_factor / num_shards if num_shards > 1 else 0.0
-    )
-    cut = max(rel_cut, float(config.presplit_min_bytes))
-    # >= so a fully-skewed layout still trips when num_shards is
-    # small (one bucket holding everything == factor×fair-share exactly
-    # at num_shards == factor)
-    hot = [b for b in bucket_ids if sizes[b] > 0 and sizes[b] >= cut]
-    if hot:
-        n_slices = max(int(config.presplit_slices), 1)
-        pre_refs = [
-            _presplit_task.remote(b, j, n_slices, in_dir, next_dir, shards[b], config)
-            for b in hot
-            for j in range(n_slices)
-        ]
-        for nd, nf in ray.get(pre_refs):
-            n_denied += nd
-            n_deferred += nf
-        presplit = frozenset(hot)
-
     results = ray.get(
-        [
-            shards[b].schedule.remote(round_id, in_dir, next_dir, b in presplit)
-            for b in bucket_ids
-        ]
+        [shards[b].schedule.remote(round_id, in_dir, next_dir) for b in bucket_ids]
     )
-    n_denied += sum(r[1] for r in results)
+    n_denied = sum(r[1] for r in results)
     n_admitted = sum(r[2] for r in results)
-    n_deferred += sum(r[3] for r in results)
+    n_deferred = sum(r[3] for r in results)
     admitted = pa.concat_tables([from_ipc(r[0]) for r in results])
     admitted = admitted.take(
         pc.sort_indices(admitted, sort_keys=[("priority", "descending"), ("url", "ascending")])
@@ -463,7 +311,7 @@ def _schedule_round(
     n_deferred += write_bucketed(
         as_candidates(cut), next_dir, "spill", num_shards
     )
-    return fetch_tbl, n_deferred, n_denied, n_admitted, len(presplit), refunds
+    return fetch_tbl, n_deferred, n_denied, n_admitted, refunds
 
 
 def _urls_by_shard(fetch_tbl: pa.Table, num_shards: int) -> List[List[str]]:
@@ -501,9 +349,18 @@ def crawl(
     per-round ``phases`` in ``rounds``, plus checkpoints), of which
     ``checkpoint_s`` is checkpoint writing, and ``teardown_s``.
     ``state_shards`` holds each shard's bloom size, insert count and
-    estimated FPR."""
+    estimated FPR.
+
+    ``resume=True`` continues from the latest complete round under
+    ``ckpt_dir`` and raises ``ValueError`` when there is none: a fresh
+    crawl would delete the output the caller asked to continue."""
     from ..state.checkpoint import latest_round, load_checkpoint, save_checkpoint
 
+    if resume and (ckpt_dir is None or latest_round(ckpt_dir) is None):
+        raise ValueError(
+            f"nothing to resume: no complete checkpoint round in ckpt_dir "
+            f"{ckpt_dir!r}; {out_dir} is left as it is"
+        )
     t_setup = time.time()
     os.makedirs(out_dir, exist_ok=True)
     num_shards = config.num_politeness_shards
@@ -539,8 +396,7 @@ def crawl(
         # The frontier lives on storage only: frontier_dir is the bucketed
         # parquet dir the next round schedules from, and frontier_rows its
         # candidate-row count (a pre-dedup upper bound; 0 ends the crawl).
-        resuming = resume and ckpt_dir is not None and latest_round(ckpt_dir) is not None
-        if resuming:
+        if resume:
             state = load_checkpoint(ckpt_dir, num_shards, out_dir=out_dir)
             start_round = state["round"] + 1
             frontier_dir = state["frontier_dir"]
@@ -577,17 +433,17 @@ def crawl(
             )
             ready = [h.stats.remote() for h in shards]
 
-        # optional plasma preload: one copy of each partition in the
-        # object store, mapped zero-copy by every fetch worker (callers may
-        # pass prebuilt ``store_refs`` to reuse a warm store across crawls)
-        if store_refs is None and config.preload_store:
+        # plasma preload: one copy of each partition in the object store,
+        # mapped zero-copy by every fetch worker (callers may pass prebuilt
+        # ``store_refs`` to reuse a warm store across crawls)
+        if store_refs is None:
             store_refs = ray.put(preload_doc_store(store_dir, config.doc_store_partitions))
         source = (store_dir, config.doc_store_partitions, entities_ref, store_refs)
 
         # the first call on a fresh actor waits for its process to start;
         # the seed write and preload above ran meanwhile
         rebuilt = ray.get(ready)
-        if resuming and sum(rebuilt) != fetched:
+        if resume and sum(rebuilt) != fetched:
             raise ValueError(
                 f"the fetch log under {log_dir} holds {sum(rebuilt)} rows through "
                 f"round {start_round - 1}, the checkpoint recorded {fetched}; "
@@ -623,14 +479,9 @@ def crawl(
             # split; then one commit per shard marks the fetch set seen and
             # refunds the global cut (and returns the shard's politeness
             # snapshot when checkpointing) while the round fetches
-            (
-                fetch_tbl,
-                n_deferred,
-                n_denied,
-                n_admitted,
-                n_presplit,
-                refunds,
-            ) = _schedule_round(frontier_dir, next_dir, shards, config, round_id)
+            fetch_tbl, n_deferred, n_denied, n_admitted, refunds = _schedule_round(
+                frontier_dir, next_dir, shards, config, round_id
+            )
             commits = [
                 h.commit.remote(urls, refunds.get(s, {}), ckpt_dir is not None)
                 for s, (h, urls) in enumerate(zip(shards, _urls_by_shard(fetch_tbl, num_shards)))
@@ -716,7 +567,6 @@ def crawl(
                     "robots_denied": n_denied,
                     "deferred": n_deferred,
                     "new_frontier": frontier_rows,
-                    "presplit_buckets": n_presplit,
                     "sec": round(time.time() - t_round, 3),
                     "phases": phase_t,
                 }

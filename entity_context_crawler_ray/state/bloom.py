@@ -47,9 +47,7 @@ def url_hashes(urls: Sequence[str]) -> np.ndarray:
     One ``hashlib`` call per url: at a round's few dozen urls, and on
     urls longer than one md5 block, it beats the vectorized kernel
     (one Xeon core, 20- and 90-byte urls; 53 urls: 0.05-0.07 ms against
-    0.7-1.0 ms; 100k urls: 74-82 ms against 77-114 ms).  Hashing is most of a probe's cost, so callers away
-    from the filter (presplit slice tasks) hash their own urls and send
-    the hashes (``probe_hashes``)."""
+    0.7-1.0 ms; 100k urls: 74-82 ms against 77-114 ms)."""
     if not len(urls):
         return np.empty((0, 2), dtype=np.uint64)
     digests = b"".join(hashlib.md5(u.encode("utf-8")).digest() for u in urls)
@@ -75,13 +73,9 @@ class BloomShard:
 
     def probe(self, urls: Sequence[str]) -> List[bool]:
         """True = possibly seen; False = definitely new. Read-only."""
-        return self.probe_hashes(url_hashes(urls))
-
-    def probe_hashes(self, hashes: np.ndarray) -> List[bool]:
-        """``probe`` over precomputed ``url_hashes``."""
-        if not len(hashes):
+        if not len(urls):
             return []
-        pos = self._positions(hashes)
+        pos = self._positions(url_hashes(urls))
         byte_idx = (pos >> np.uint64(3)).astype(np.int64)
         masks = (np.uint8(1) << (pos & np.uint64(7)).astype(np.uint8))
         hit = (self.bits[byte_idx] & masks) != 0

@@ -25,8 +25,6 @@ from __future__ import annotations
 import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -61,34 +59,22 @@ class CrawlStateShard:
         self.round_budget = round_budget
         self.entity_bonus = entity_bonus
 
-    def probe_hashes(self, hashes: np.ndarray) -> List[bool]:
-        """Bloom probe over ``bloom.url_hashes`` computed by the caller:
-        the presplit slice tasks of a hot bucket hash their own urls in
-        parallel, so this shard only does the vectorized bit lookups."""
-        return self.bloom.probe_hashes(hashes)
-
     def schedule(
-        self, round_id: int, in_dir: str, next_dir: str, presched_only: bool = False
+        self, round_id: int, in_dir: str, next_dir: str
     ) -> Tuple[bytes, int, int, int]:
         """Schedule this shard's frontier bucket -> (admitted rows (at
         most ``round_budget``, FRONTIER_SCHEMA) as Arrow IPC bytes
         (``frontier.from_ipc``), n_denied, n_admitted, n_deferred).
-        Deferred rows are written to ``next_dir`` as ``defer-{shard}``.
-        A presplit (hot) bucket was already combined/probed/denied/
-        truncated by its slice tasks, so only their compact
-        ``presched-*`` survivor files are merged."""
-        admitted, n_denied, n_admitted, n_deferred = self._schedule(
-            round_id, in_dir, next_dir, presched_only
-        )
+        Deferred rows are written to ``next_dir`` as ``defer-{shard}``."""
+        admitted, n_denied, n_admitted, n_deferred = self._schedule(round_id, in_dir, next_dir)
         return to_ipc(admitted), n_denied, n_admitted, n_deferred
 
     def _schedule(
-        self, round_id: int, in_dir: str, next_dir: str, presched_only: bool
+        self, round_id: int, in_dir: str, next_dir: str
     ) -> Tuple[pa.Table, int, int, int]:
         store = get_store()
-        pattern = "presched-*" if presched_only else "*"
         bucket = self.shard_id
-        files = store.list_tables(os.path.join(in_dir, f"bucket={bucket}", pattern))
+        files = store.list_tables(os.path.join(in_dir, f"bucket={bucket}", "*"))
         if not files:
             return EMPTY_FRONTIER, 0, 0, 0
         raw = pa.concat_tables([store.read_table(f) for f in files])

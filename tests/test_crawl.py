@@ -1,6 +1,5 @@
 """Crawl machinery tests: bloom shards, politeness, state shards,
-ordering parity vs the pure-Python simulator, checkpoint/resume,
-hot-bucket presplit."""
+ordering parity vs the pure-Python simulator, checkpoint/resume."""
 
 import glob
 import os
@@ -142,43 +141,6 @@ def test_crawl_matches_simulator(store_and_inputs):
             assert pq.read_table(f"{rdir}/{e['file']}").num_rows == e["rows"]
 
 
-def test_crawl_forced_presplit_equals_plain(store_and_inputs):
-    """The hot-bucket presplit wave forced on every bucket (thresholds
-    0): wave-0 slice tasks combine/probe/deny/truncate, wave 1 merges
-    their presched files — the fetch log must equal the plain crawl's
-    row for row."""
-    store, ref, docs_local, idx, seeds = store_and_inputs
-    kw = dict(
-        max_depth=1,
-        round_budget=40,
-        capacity=5,
-        refill=3,
-        num_bloom_shards=2,
-        num_politeness_shards=2,
-        doc_store_partitions=8,
-        max_rounds=40,
-    )
-    _, out_plain = _run(store, ref, seeds, CrawlConfig(**kw), "plain")
-    metrics_ps, out_presplit = _run(
-        store,
-        ref,
-        seeds,
-        CrawlConfig(
-            presplit_factor=0.0,
-            presplit_min_bytes=0,
-            presplit_slices=3,
-            **kw,
-        ),
-        "presplit",
-    )
-    pd.testing.assert_frame_equal(
-        _read_fetch_log(out_plain)[["round", "rank", "url"]],
-        _read_fetch_log(out_presplit)[["round", "rank", "url"]],
-    )
-    # the wave actually ran: every round presplit its buckets
-    assert all(r["presplit_buckets"] > 0 for r in metrics_ps["rounds"])
-
-
 def test_crawl_bucketed_with_budgets_matches_simulator(store_and_inputs):
     """Six frontier buckets (one per state shard) under binding robots
     rules + host budgets + global budget must still reproduce the
@@ -211,46 +173,10 @@ def test_crawl_bucketed_with_budgets_matches_simulator(store_and_inputs):
     assert len(glob.glob(f"{out}/frontier/round=*")) <= 1
 
 
-def test_crawl_presplit_with_budgets_matches_simulator(store_and_inputs):
-    """Forced hot-bucket presplit under binding robots rules + token
-    capacity + host budgets must still reproduce the simulator's
-    ordering and seen set — wave-0 deny counting and per-host
-    top-capacity truncation are exercised for real (capacity=5)."""
-    store, ref, docs_local, idx, seeds = store_and_inputs
-    cfg = CrawlConfig(
-        max_depth=1,
-        round_budget=40,
-        capacity=5,
-        refill=3,
-        deny={"h3": ["Doc_1"]},
-        host_budget={"h5": 7},
-        num_bloom_shards=2,
-        num_politeness_shards=2,
-        doc_store_partitions=8,
-        max_rounds=40,
-        presplit_factor=0.0,
-        presplit_min_bytes=0,
-        presplit_slices=3,
-    )
-    metrics, out = _run(store, ref, seeds, cfg, "presplit_budget")
-    sim = simulate_crawl(
-        docs_local,
-        list(zip(seeds["url"].to_pylist(), seeds["priority"].to_pylist())),
-        idx["title_to_eid"],
-        cfg,
-    )
-    log = _read_fetch_log(out)
-    assert list(zip(log["round"], log["rank"], log["url"])) == sim["fetch_log"]
-    assert set(log["url"]) == sim["seen"]
-    assert all(r["presplit_buckets"] > 0 for r in metrics["rounds"])
-
-
-def test_crawl_one_host_seed_auto_presplit(store_and_inputs):
+def test_crawl_one_host_seed_matches_simulator(store_and_inputs):
     """A single-host seed set funnels the whole round-0 frontier into
-    ONE bucket; the default byte-skew detection (factor 2.0; min-bytes
-    floored to 0 for this KB-scale corpus) must auto-engage the
-    presplit wave for that bucket, and the fetch log must still match
-    the simulator exactly."""
+    ONE bucket, scheduled by its owning state shard alone; the fetch log
+    must still match the simulator exactly."""
     from entity_context_crawler_ray.sources.docs import host_of
 
     store, ref, docs_local, idx, seeds = store_and_inputs
@@ -266,10 +192,8 @@ def test_crawl_one_host_seed_auto_presplit(store_and_inputs):
         num_politeness_shards=2,
         doc_store_partitions=8,
         max_rounds=40,
-        presplit_min_bytes=0,
-        presplit_slices=3,
     )
-    metrics, out = _run(store, ref, one_host, cfg, "one_host_presplit")
+    _, out = _run(store, ref, one_host, cfg, "one_host")
     sim = simulate_crawl(
         docs_local,
         list(zip(one_host["url"].to_pylist(), one_host["priority"].to_pylist())),
@@ -278,8 +202,6 @@ def test_crawl_one_host_seed_auto_presplit(store_and_inputs):
     )
     log = _read_fetch_log(out)
     assert list(zip(log["round"], log["rank"], log["url"])) == sim["fetch_log"]
-    # round 0: one bucket holds ~100% of the bytes -> auto-detected hot
-    assert metrics["rounds"][0]["presplit_buckets"] >= 1
 
 
 def test_crawl_bucketed_resume_equivalence(store_and_inputs):
@@ -855,6 +777,31 @@ def test_cli_crawl_sigkill_resume(store_and_inputs, tmp_path):
     assert main(["crawl", store, ents, out, *CLI_CRAWL, "--ckpt-dir", ckpt, "--resume"]) == 0
     pd.testing.assert_frame_equal(_read_fetch_log(out)[["round", "rank", "url"]], full_log)
     assert _page_rows(out) == _page_rows(full) > 0
+
+
+def test_cli_resume_without_checkpoint_keeps_output(store_and_inputs, tmp_path):
+    """``--resume`` skips the overwrite guard, so a resume with nothing
+    to resume from (here: no ``--ckpt-dir``, or an empty one) must be
+    refused, not fall through to a fresh crawl that deletes the output
+    it was asked to continue."""
+    from entity_context_crawler_ray.__main__ import main
+
+    store = store_and_inputs[0]
+    ents = str(tmp_path / "entities.parquet")
+    pq.write_table(entity_catalog(SF), ents)
+    out = str(tmp_path / "out")
+    assert main(["crawl", store, ents, out, *CLI_CRAWL]) == 0
+    log = _read_fetch_log(out)
+    mtimes = {f: os.path.getmtime(f) for f in glob.glob(f"{out}/fetch_log/*")}
+    rounds = sorted(glob.glob(f"{out}/round=*"))
+    assert len(log) > 0 and rounds
+    empty = str(tmp_path / "ckpt")
+    os.makedirs(empty)
+    for ckpt in ([], ["--ckpt-dir", empty]):
+        assert main(["crawl", store, ents, out, *CLI_CRAWL, *ckpt, "--resume"]) == 1
+        pd.testing.assert_frame_equal(_read_fetch_log(out), log)
+        assert {f: os.path.getmtime(f) for f in glob.glob(f"{out}/fetch_log/*")} == mtimes
+        assert sorted(glob.glob(f"{out}/round=*")) == rounds
 
 
 # --- crawl state shards ---------------------------------------------------
