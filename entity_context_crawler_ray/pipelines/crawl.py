@@ -57,6 +57,7 @@ import hashlib
 import json
 import os
 import shutil
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -103,8 +104,10 @@ class CrawlConfig:
     bloom_bits: int = 1 << 22
     # state shards: one actor each, owning one frontier bucket.  The
     # shards schedule a round in parallel, so raise this with the
-    # cluster, up to about one per CPU: each is a process to start (on
-    # 4 CPUs, 16 shards ran the bench.py crawl 1.9× slower than 4)
+    # cluster, up to about one per CPU.  Each is a process, started once
+    # per driver and reused by later crawls (on 4 CPUs, 16 shards once
+    # ran the bench.py crawl 1.9× slower than 4, mostly start-up that
+    # now only the driver's first crawl pays)
     num_politeness_shards: int = 2
     entity_bonus: float = 10.0
     fetch_batch_size: int = 64
@@ -326,6 +329,57 @@ def _urls_by_shard(fetch_tbl: pa.Table, num_shards: int) -> List[List[str]]:
     return out
 
 
+# Idle state shards of this driver's Ray job.  Starting an actor process
+# was the largest fixed cost of a crawl (~1 s for two on 4 CPUs: the
+# process, then pandas, which pyarrow imports on its first Table), so
+# crawls check shards out of this pool and back in instead of starting
+# and killing their own.  The pool belongs to one Ray job on one cluster:
+# handles from before a ray.shutdown()/ray.init() are dropped unused.
+_idle_lock = threading.Lock()
+_idle_job: Optional[Tuple[str, str, str]] = None
+_idle: List = []
+
+
+def _ray_job() -> Tuple[str, str, str]:
+    ctx = ray.get_runtime_context()
+    return ctx.get_job_id(), ctx.gcs_address, ctx.get_node_id()
+
+
+def _checkout_shards(num_shards: int) -> Tuple[List, int, Tuple[str, str, str]]:
+    """``num_shards`` state actors for one crawl: idle ones first (popped
+    under the lock, so concurrent crawls never share one), then new ones.
+    Returns (handles, number started, the Ray job they belong to)."""
+    global _idle_job
+    job = _ray_job()
+    with _idle_lock:
+        if _idle_job != job:
+            _idle_job = job
+            _idle.clear()
+        shards = [_idle.pop() for _ in range(min(num_shards, len(_idle)))]
+    started = num_shards - len(shards)
+    shards += [CrawlStateShardActor.remote() for _ in range(started)]
+    return shards, started, job
+
+
+def _checkin_shards(shards: List, job: Tuple[str, str, str]) -> None:
+    with _idle_lock:
+        if _idle_job == job:
+            _idle.extend(shards)
+
+
+def release_state_shards() -> int:
+    """Kill this driver's idle state shards; returns how many.  A
+    long-lived driver that has finished crawling calls it to free their
+    processes (``ray.shutdown()`` ends them too)."""
+    with _idle_lock:
+        live = ray.is_initialized() and _ray_job() == _idle_job
+        idle = list(_idle) if live else []
+        _idle.clear()
+    for h in idle:
+        ray.kill(h)
+    return len(idle)
+
+
 def crawl(
     store_dir: str,
     seeds: pa.Table,
@@ -343,13 +397,22 @@ def crawl(
     sources.docs.entities_index output.  Output: combined page rows
     under ``out_dir/round=r/`` + ``fetch_log`` parquet per round.
 
+    State actors live per driver, not per crawl: the call checks
+    ``num_politeness_shards`` idle ones out of the driver's pool,
+    starting only the missing ones, and ``reset``s each to a fresh
+    shard.  On success it clears them and checks them back in; a crawl
+    that raises or is interrupted kills every shard it checked out.
+    ``release_state_shards()`` kills the idle ones.
+
     The metrics (also written to ``out_dir/_metrics.json``) split the
-    call's time into ``setup_s`` (state actors started and ready, seed
-    frontier written or checkpoint restored), ``wall_sec`` (the rounds,
-    per-round ``phases`` in ``rounds``, plus checkpoints), of which
-    ``checkpoint_s`` is checkpoint writing, and ``teardown_s``.
-    ``state_shards`` holds each shard's bloom size, insert count and
-    estimated FPR.
+    call's time into ``setup_s`` (state actors checked out and reset,
+    seed frontier written or checkpoint restored), ``wall_sec`` (the
+    rounds, per-round ``phases`` in ``rounds``, plus checkpoints), of
+    which ``checkpoint_s`` is checkpoint writing, and ``teardown_s``.
+    ``state_shards_started`` counts the actor processes this call
+    started (``num_politeness_shards`` on a cold driver, 0 on a warm
+    one).  ``state_shards`` holds each shard's bloom size, insert count
+    and estimated FPR.
 
     ``resume=True`` continues from the latest complete round under
     ``ckpt_dir`` and raises ``ValueError`` when there is none: a fresh
@@ -373,21 +436,22 @@ def crawl(
     }
     # one state actor per shard, each owning one frontier bucket
     # (state/shard.py)
-    shards = [
-        CrawlStateShardActor.remote(
-            s,
-            num_shards,
-            config.num_bloom_shards * config.bloom_bits,
-            pol_cfg,
-            config.round_budget,
-            config.entity_bonus,
-        )
-        for s in range(num_shards)
-    ]
+    shards, started, job = _checkout_shards(num_shards)
 
-    # the state actors die with the crawl, also when a resume is refused
-    # or a round raises
+    # a crawl that raises (a refused resume, a failed round) or is
+    # interrupted kills the state actors it checked out
     try:
+        ready = [
+            h.reset.remote(
+                s,
+                num_shards,
+                config.num_bloom_shards * config.bloom_bits,
+                pol_cfg,
+                config.round_budget,
+                config.entity_bonus,
+            )
+            for s, h in enumerate(shards)
+        ]
         start_round = 0
         # fetch-log rows over every round so far: the checkpoint records it,
         # and a resume checks the log it rebuilds the seen filters from
@@ -402,7 +466,7 @@ def crawl(
             frontier_dir = state["frontier_dir"]
             frontier_rows = state["frontier_rows"]
             fetched = state["fetched"]
-            ready = [
+            ready += [
                 h.restore.remote(p, log_dir, state["round"])
                 for h, p in zip(shards, state["politeness"])
             ]
@@ -431,7 +495,6 @@ def crawl(
             frontier_rows = write_bucketed(
                 as_candidates(seed_tbl), frontier_dir, "seed", num_shards
             )
-            ready = [h.stats.remote() for h in shards]
 
         # plasma preload: one copy of each partition in the object store,
         # mapped zero-copy by every fetch worker (callers may pass prebuilt
@@ -440,9 +503,9 @@ def crawl(
             store_refs = ray.put(preload_doc_store(store_dir, config.doc_store_partitions))
         source = (store_dir, config.doc_store_partitions, entities_ref, store_refs)
 
-        # the first call on a fresh actor waits for its process to start;
+        # the first call on a new actor waits for its process to start;
         # the seed write and preload above ran meanwhile
-        rebuilt = ray.get(ready)
+        rebuilt = ray.get(ready)[num_shards:]
         if resume and sum(rebuilt) != fetched:
             raise ValueError(
                 f"the fetch log under {log_dir} holds {sum(rebuilt)} rows through "
@@ -454,6 +517,7 @@ def crawl(
             "urls_fetched": 0,
             "pages_extracted": 0,
             "setup_s": round(time.time() - t_setup, 3),
+            "state_shards_started": started,
         }
         checkpoint_s = 0.0
         t_start = time.time()
@@ -470,10 +534,13 @@ def crawl(
                 since[0] = now
 
             next_dir = frontier_round_dir(out_dir, round_id + 1)
+            round_dir = os.path.join(out_dir, f"round={round_id}")
             # next_dir receives the schedule deferrals and the fetch-task
-            # link partials — clear any stale files from an interrupted
-            # earlier attempt at this round
+            # link partials, round_dir the page files — clear any stale
+            # files from an interrupted earlier attempt at this round
+            # (page file names depend on fetch_batch_size)
             shutil.rmtree(next_dir, ignore_errors=True)
+            shutil.rmtree(round_dir, ignore_errors=True)
 
             # scheduling: combine -> probe -> admission -> sort + budget
             # split; then one commit per shard marks the fetch set seen and
@@ -506,7 +573,6 @@ def crawl(
             n_links_rows = 0
             n_fetched = 0
             if fetch_tbl.num_rows:
-                round_dir = os.path.join(out_dir, f"round={round_id}")
                 os.makedirs(round_dir, exist_ok=True)
                 urls = fetch_tbl["url"].to_pylist()
                 depths = fetch_tbl["depth"].to_pylist()
@@ -595,9 +661,12 @@ def crawl(
         )
         t_teardown = time.time()
         metrics["state_shards"] = ray.get([h.stats.remote() for h in shards])
-    finally:
+        ray.get([h.clear.remote() for h in shards])
+    except BaseException:
         for h in shards:
             ray.kill(h)
+        raise
+    _checkin_shards(shards, job)
     metrics["teardown_s"] = round(time.time() - t_teardown, 3)
     # persist the run metrics beside the output (atomic rename): the
     # fetch/extract counters travel with the crawl artifact, not just

@@ -16,8 +16,11 @@ The seen filter is not snapshotted: ``restore`` rebuilds it from the
 fetch log, which holds exactly the URLs ``commit`` marked.
 
 The class is plain Python, so tests drive it in-process;
-``CrawlStateShardActor`` is the deployed form (one per shard, started
-by ``crawl()``).
+``CrawlStateShardActor`` is the deployed form: one per shard, kept by
+the driver across crawls (``pipelines/crawl.py``).  A crawl checks an
+idle actor out, puts it into its own fresh state with ``reset`` (on
+resume, ``restore`` follows), and on success ``clear``s it and checks
+it back in, so each actor process starts once per driver.
 """
 
 from __future__ import annotations
@@ -43,7 +46,12 @@ from .storage import get_store
 
 
 class CrawlStateShard:
-    def __init__(
+    def __init__(self, *args):
+        # the actor starts bare; crawl() resets it to each crawl's shard
+        if args:
+            self.reset(*args)
+
+    def reset(
         self,
         shard_id: int,
         num_shards: int,
@@ -51,13 +59,19 @@ class CrawlStateShard:
         politeness_config: Dict,
         round_budget: int,
         entity_bonus: float,
-    ):
+    ) -> None:
+        """Put the shard into the fresh state of shard ``shard_id`` of a
+        new crawl: empty seen filter, no host buckets."""
         self.shard_id = shard_id
         self.num_shards = num_shards
         self.bloom = BloomShard(bloom_bits)
         self.politeness = PolitenessShard(politeness_config)
         self.round_budget = round_budget
         self.entity_bonus = entity_bonus
+
+    def clear(self) -> None:
+        """Drop the crawl's state, so an idle shard holds no bloom bits."""
+        self.bloom = self.politeness = None
 
     def schedule(
         self, round_id: int, in_dir: str, next_dir: str

@@ -2,6 +2,7 @@
 ordering parity vs the pure-Python simulator, checkpoint/resume."""
 
 import glob
+import json
 import os
 import shutil
 import signal
@@ -16,7 +17,11 @@ import pyarrow.parquet as pq
 import pytest
 import ray
 
-from entity_context_crawler_ray.pipelines.crawl import CrawlConfig, crawl
+from entity_context_crawler_ray.pipelines.crawl import (
+    CrawlConfig,
+    crawl,
+    release_state_shards,
+)
 from entity_context_crawler_ray.sources.doc_store import (
     DocStoreReader,
     write_doc_store,
@@ -676,6 +681,46 @@ def test_fresh_crawl_clears_stale_checkpoint(store_and_inputs, tmp_path):
     pd.testing.assert_frame_equal(_read_fetch_log(out), full_log)
 
 
+PAGE_COLS = ["round", "title", "clean_text", "match_count", "error"]
+
+
+def _page_table(out) -> pd.DataFrame:
+    return (
+        pd.concat(
+            pq.read_table(f, columns=PAGE_COLS).to_pandas()
+            for f in glob.glob(f"{out}/round=*/*.parquet")
+        )
+        .sort_values(PAGE_COLS)
+        .reset_index(drop=True)
+    )
+
+
+def test_resumed_round_replaces_stale_page_files(store_and_inputs, tmp_path):
+    """Page files are named by the md5 of their fetch slice, so a round
+    re-run with another ``fetch_batch_size`` writes other names: the
+    re-run must clear the round's dir, or an interrupted attempt's pages
+    stay beside the new ones (duplicate rows, files missing from
+    ``_lineage.json``)."""
+    store, ref, docs_local, idx, seeds = store_and_inputs
+    full, out, ckpt = (str(tmp_path / d) for d in ("full", "out", "ckpt"))
+    crawl(store, seeds, ref, full, CrawlConfig(max_rounds=40, **RESUME_KW))
+    crawl(store, seeds, ref, out, CrawlConfig(max_rounds=2, **RESUME_KW), ckpt_dir=ckpt)
+    # an interrupted attempt at round 2 left one of its page files
+    stale = sorted(glob.glob(f"{full}/round=2/*.parquet"))[0]
+    os.makedirs(f"{out}/round=2")
+    shutil.copy(stale, f"{out}/round=2/interrupted.parquet")
+    crawl(
+        store, seeds, ref, out,
+        CrawlConfig(max_rounds=40, fetch_batch_size=7, **RESUME_KW),
+        ckpt_dir=ckpt, resume=True,
+    )
+    pd.testing.assert_frame_equal(_page_table(out), _page_table(full))
+    for rdir in glob.glob(f"{out}/round=*"):
+        with open(f"{rdir}/_lineage.json") as fh:
+            listed = sorted(e["file"] for e in json.load(fh)["files"])
+        assert listed == sorted(os.path.basename(p) for p in glob.glob(f"{rdir}/*.parquet"))
+
+
 def _alive_state_shards() -> int:
     """CrawlStateShard actors still alive, read from the GCS actor table
     (``ray.util.state`` needs the dashboard, which the tests run without)."""
@@ -694,6 +739,7 @@ def test_resume_refuses_damaged_fetch_log(store_and_inputs, tmp_path):
     seen URLs again.  No state actor outlives a refused resume."""
     store, ref, docs_local, idx, seeds = store_and_inputs
     out, ckpt = str(tmp_path / "out"), str(tmp_path / "ckpt")
+    release_state_shards()
     crawl(store, seeds, ref, out, CrawlConfig(max_rounds=2, **RESUME_KW), ckpt_dir=ckpt)
     path = os.path.join(out, "fetch_log", "round_0.parquet")
     with open(path, "rb") as fh:
@@ -1101,3 +1147,101 @@ def test_crawl_one_host_bloom_load(store_and_inputs):
     share = BloomShard(budget // 3)
     share.count = n
     assert loaded["bloom_fpr_est"] < share.estimated_fpr()
+
+
+# --- state shards kept per driver ------------------------------------------
+
+
+def _state_shards_gone() -> bool:
+    """Whether every state actor is dead within 10 s (ray.kill is async)."""
+    deadline = time.time() + 10
+    while _alive_state_shards() and time.time() < deadline:
+        time.sleep(0.1)
+    return _alive_state_shards() == 0
+
+
+def test_state_shards_reused_across_configs(store_and_inputs):
+    """The driver starts each state actor once: later crawls, with other
+    shard counts, capacities and bloom budgets, check idle actors out and
+    reset them.  Every crawl equals the simulator, no bloom bit or
+    politeness bucket of an earlier crawl survives the reset, and no more
+    actors live than the largest crawl needs."""
+    store, ref, docs_local, idx, seeds = store_and_inputs
+    release_state_shards()
+    assert _state_shards_gone()
+    three = CrawlConfig(
+        max_depth=1, round_budget=30, capacity=4, refill=2,
+        num_bloom_shards=4, num_politeness_shards=3, doc_store_partitions=8,
+    )
+    two = CrawlConfig(
+        max_depth=1, round_budget=30, capacity=6, refill=2,
+        num_bloom_shards=2, bloom_bits=1 << 18, num_politeness_shards=2,
+        doc_store_partitions=8,
+    )
+    started = []
+    for i, cfg in enumerate([three, two, three]):
+        m, out = _run(store, ref, seeds, cfg, f"reuse{i}")
+        sim = simulate_crawl(
+            docs_local,
+            list(zip(seeds["url"].to_pylist(), seeds["priority"].to_pylist())),
+            idx["title_to_eid"],
+            cfg,
+        )
+        log = _read_fetch_log(out)
+        assert list(zip(log["round"], log["rank"], log["url"])) == sim["fetch_log"], i
+        shards = m["state_shards"]
+        assert len(shards) == cfg.num_politeness_shards
+        assert {s["bloom_bits"] for s in shards} == {cfg.num_bloom_shards * cfg.bloom_bits}
+        assert sum(s["bloom_inserts"] for s in shards) == m["urls_fetched"] > 0
+        assert _alive_state_shards() <= 3
+        with open(f"{out}/_metrics.json") as fh:
+            assert json.load(fh)["state_shards_started"] == m["state_shards_started"]
+        started.append(m["state_shards_started"])
+    assert started == [3, 0, 0]
+    assert release_state_shards() == 3
+    assert _state_shards_gone()
+
+
+RESTART_CRAWL = """
+import ray
+from entity_context_crawler_ray.pipelines.crawl import CrawlConfig, crawl
+from entity_context_crawler_ray.sources.docs import entity_catalog, entities_index, seed_table
+cfg = CrawlConfig(max_depth=1, round_budget=30, capacity=4, refill=2,
+                  num_politeness_shards=2, doc_store_partitions=8)
+for i in range(2):
+    ray.init(address="local", num_cpus=1, include_dashboard=False,
+             logging_level="ERROR", log_to_driver=False)
+    ref = ray.put(entities_index(entity_catalog({sf!r})))
+    m = crawl({store!r}, seed_table({sf!r}), ref, {out!r} + str(i), cfg)
+    print("crawl", m["urls_fetched"], m["state_shards_started"])
+    ray.shutdown()
+"""
+
+
+def test_crawl_after_ray_restart(store_and_inputs, tmp_path):
+    """Idle state actors belong to one Ray cluster: after
+    ``ray.shutdown()`` and a new ``ray.init()`` the next crawl starts
+    its own instead of calling the dead ones (in its own process, with
+    its own clusters; the process group is killed if it hangs)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (ROOT, env.get("PYTHONPATH")) if p)
+    script = RESTART_CRAWL.format(sf=SF, store=store_and_inputs[0], out=str(tmp_path / "out"))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script],
+        cwd=ROOT,
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("two crawls across a Ray restart did not finish within 120 s")
+    assert proc.returncode == 0, err[-3000:]
+    lines = [ln.split() for ln in out.splitlines() if ln.startswith("crawl ")]
+    assert len(lines) == 2 and lines[0] == lines[1], out
+    assert int(lines[0][1]) > 0 and lines[0][2] == "2"
